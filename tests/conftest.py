@@ -1,8 +1,10 @@
 """Shared builders: fixture access, random compatible cochains, random
-clopen (Hausdorff) systems for the oracle-equivalence sweeps."""
+clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
+non-Hausdorff covers (hub-and-spoke paths, k-origin lines)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +13,9 @@ import pytest
 
 from nonhausdorff import fixtures as fixture_mod
 from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes
-from nonhausdorff.cells import CellComplex, Orientation, closure
+from nonhausdorff.cells import CellComplex, CellSet, Orientation, closure
 from nonhausdorff.cochains import Cochain, GlobalCochain, assemble_global
+from nonhausdorff.cohomology import CoreAssignment
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -202,3 +205,90 @@ def oriented_copy(system: AdjunctionSystem) -> AdjunctionSystem:
 def closed_region_cochain_values(system, i, j, degree):
     """Cells of the closure of region(i, j) in the given degree."""
     return closure(system.region(i, j)).members_of_dim(degree)
+
+
+# -- generated non-Hausdorff covers ---------------------------------------------
+
+
+def _plus_orientations(pieces: list[CellComplex]) -> list[Orientation]:
+    return [Orientation({c: 1 for c in p.cells_of_dim(p.top_dimension)}) for p in pieces]
+
+
+def hub_with_spokes(k: int, spacing: int) -> fixture_mod.Fixture:
+    """A hub path v-1..v{spacing*k} with ``k`` spoke paths v0..v3; spoke s is
+    glued along the open star of hub vertex v{spacing*s+1}.
+
+    Only the pairs (hub, spoke) have nonempty intersections.  From a spacing
+    of 3 on, the closures of neighbouring regions are disjoint and the
+    closure-intersection property holds; at a spacing of 2 they meet at one
+    vertex and it fails for every pair of neighbouring spokes.
+    """
+    hub = fixture_mod.path_complex(-1, spacing * k)
+    pieces = [hub, *(fixture_mod.path_complex(0, 3) for _ in range(k))]
+    regions: dict[tuple[int, int], list[str]] = {}
+    maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str]]] = {}
+    cores: dict[tuple[int, ...], CellSet] = {}
+    for s in range(k):
+        base = spacing * s
+        forward = {f"v{base + 1}": "v1", f"e{base}": "e0", f"e{base + 1}": "e1"}
+        extension = dict(forward, **{f"v{base}": "v0", f"v{base + 2}": "v2"})
+        regions[(0, s + 1)] = sorted(forward)
+        maps[(0, s + 1)] = (forward, extension)
+        cores[(0, s + 1)] = CellSet.of(hub, [f"v{base + 1}"])
+    names = ["H"] + [f"S{s}" for s in range(k)]
+    system = AdjunctionSystem.assemble(pieces, names, regions, maps, _plus_orientations(pieces))
+    return fixture_mod.Fixture(f"hub_{k}_spacing_{spacing}", system, CoreAssignment(cores))
+
+
+def k_origin_line(k: int) -> fixture_mod.Fixture:
+    """``k`` copies of the 5-vertex path glued along everything except v0;
+    every one of the 2^k - k - 1 intersections is nonempty."""
+    pieces = [fixture_mod.path_complex() for _ in range(k)]
+    region = CellSet.of(pieces[0], set(pieces[0].dims) - {"v0"})
+    closed = closure(region).members
+    regions: dict[tuple[int, int], set[str]] = {}
+    maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str]]] = {}
+    for i, j in itertools.combinations(range(k), 2):
+        regions[(i, j)] = set(region.members)
+        maps[(i, j)] = ({c: c for c in region.members}, {c: c for c in closed})
+    core_cells = ["v-2", "v-1", "e-2", "v1", "v2", "e1"]
+    cores = {
+        tup: CellSet.of(pieces[tup[0]], core_cells)
+        for size in range(2, k + 1)
+        for tup in itertools.combinations(range(k), size)
+    }
+    system = AdjunctionSystem.assemble(
+        pieces, [f"L{i}" for i in range(k)], regions, maps, _plus_orientations(pieces)
+    )
+    return fixture_mod.Fixture(f"origins_{k}", system, CoreAssignment(cores))
+
+
+def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) -> dict:
+    """A cochain document of the given degree whose components agree across
+    every closure extension: one random rational per class of cells joined by
+    the extensions.  Built without assemble_global, so it exists for invalid
+    systems too."""
+    parent: dict[tuple[int, str], tuple[int, str]] = {}
+
+    def find(x: tuple[int, str]) -> tuple[int, str]:
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for (i, j), gm in sorted(system.maps.items()):
+        for cell, image in sorted(gm.closure_forward.items()):
+            if system.pieces[i].dims.get(cell) == degree:
+                a, b = find((i, cell)), find((j, image))
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    values: dict[tuple[int, str], Fraction] = {}
+    components: dict[str, dict[str, str]] = {}
+    for i, piece in enumerate(system.pieces):
+        comp: dict[str, str] = {}
+        for cell in piece.cells_of_dim(degree):
+            root = find((i, cell))
+            if root not in values:
+                values[root] = random_fraction(rng)
+            comp[cell] = str(values[root])
+        components[system.names[i]] = comp
+    return {"schema_version": "1", "degree": degree, "components": components}
