@@ -19,6 +19,7 @@ from .adjunction import (
     closure_intersection_check,
     glued_cell_classes,
     hausdorff_pairs,
+    nerve,
     normalized_tuples,
     open_intersection,
     closed_intersection,
@@ -72,6 +73,7 @@ from .cohomology import (
 )
 from .errors import (
     IncompatibleCochainError,
+    InvariantError,
     NonHausdorffError,
     PreconditionError,
     SchemaError,

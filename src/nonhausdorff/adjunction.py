@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .cells import (
@@ -19,6 +20,7 @@ from .cells import (
     CellSet,
     Orientation,
     closure,
+    equivalence_classes,
     frontier,
     interior,
     is_star_closed,
@@ -172,16 +174,73 @@ def normalized_tuples(n: int, min_size: int = 2, max_size: int | None = None) ->
 
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
     """The p-fold intersection domain, transported into the smallest-index piece."""
-    tup = tuple(tup)
-    ref = tup[0]
-    members = set(system.pieces[ref].dims)
-    for k in tup[1:]:
+    ref, *others = tup
+    if not others:
+        return system.pieces[ref].whole_set()
+    members = system.region(ref, others[0]).members
+    for k in others[1:]:
         members &= system.region(ref, k).members
-    return CellSet.of(system.pieces[ref], members)
+    return CellSet(system.pieces[ref], members)
 
 
 def closed_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
     return closure(open_intersection(system, tup))
+
+
+@dataclass(frozen=True, eq=False)
+class NerveTuple:
+    """One tuple i1 < ... < ip visited by :func:`nerve`, seen in piece i1."""
+
+    tup: tuple[int, ...]
+    domain: CellSet
+    closure_meet: frozenset[str]
+
+    @cached_property
+    def closed(self) -> CellSet:
+        """Closure of the open intersection."""
+        return closure(self.domain)
+
+    @property
+    def closure_ok(self) -> bool:
+        """Closure of the intersection equals the intersection of the closures."""
+        return self.closed.members == self.closure_meet
+
+
+def nerve(system: AdjunctionSystem, max_tuple: int | None = None) -> list[NerveTuple]:
+    """The tuples of at most ``max_tuple`` pieces whose intersection can be
+    nonempty, in :func:`normalized_tuples` order.
+
+    For each first index i, ascending tuples are extended one index k at a
+    time, intersecting the closures of the regions U_ik (``closure_meet``);
+    ``domain`` is the open intersection of the tuple.  A branch stops as soon
+    as the closure meet is empty: every longer tuple meets more sets, and U
+    is inside cl U, so every tuple left out has an empty intersection and an
+    empty closure meet.  The cost is O(n^2 + tuples visited), not 2^n.
+    """
+    n = system.n()
+    cap = n if max_tuple is None else min(n, max_tuple)
+    out: list[NerveTuple] = []
+    for i in range(n):
+        links = []
+        for k in range(i + 1, n):
+            region = system.regions.get((i, k))
+            if region is not None and region.members:
+                links.append((k, closure(region).members))
+        stack: list[tuple[tuple[int, ...], frozenset[str] | None, int]] = [((i,), None, 0)]
+        while stack:
+            tup, meet, start = stack.pop()
+            if len(tup) >= cap:
+                continue
+            for pos in range(start, len(links)):
+                k, region_closure = links[pos]
+                joined = region_closure if meet is None else meet & region_closure
+                if not joined:
+                    continue
+                child = tup + (k,)
+                out.append(NerveTuple(child, open_intersection(system, child), joined))
+                stack.append((child, joined, pos + 1))
+    out.sort(key=lambda entry: (len(entry.tup), entry.tup))
+    return out
 
 
 def union_of_regions(system: AdjunctionSystem, piece: int, others: Iterable[int]) -> CellSet:
@@ -393,30 +452,20 @@ def glued_cell_classes(system: AdjunctionSystem) -> CellClasses:
     Frontier cells are never identified; they stay in singleton classes unless
     some other region covers them.
     """
-    nodes: list[tuple[int, str]] = [
-        (i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()
-    ]
-    parent: dict[tuple[int, str], tuple[int, str]] = {node: node for node in nodes}
+    links = (
+        ((i, cell), (j, image))
+        for (i, j), gm in sorted(system.maps.items())
+        for cell, image in gm.forward.items()
+    )
+    return _cell_classes(equivalence_classes(_all_cells(system), links))
 
-    def find(x: tuple[int, str]) -> tuple[int, str]:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a: tuple[int, str], b: tuple[int, str]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+def _all_cells(system: AdjunctionSystem) -> list[tuple[int, str]]:
+    return [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
 
-    for (i, j), gm in sorted(system.maps.items()):
-        for cell, image in gm.forward.items():
-            union((i, cell), (j, image))
 
-    grouped: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    for node in nodes:
-        grouped.setdefault(find(node), []).append(node)
-    classes = sorted(tuple(sorted(group)) for group in grouped.values())
+def _cell_classes(groups: list[list[tuple[int, str]]]) -> CellClasses:
+    classes = sorted(tuple(sorted(group)) for group in groups)
     index = {node: k for k, cls in enumerate(classes) for node in cls}
     return CellClasses(classes, index)
 
@@ -470,50 +519,21 @@ def reglue_classes(system: AdjunctionSystem) -> CellClasses:
     split = binary_decomposition(system)
     last = system.n() - 1
     front_classes = glued_cell_classes(split.front)
-    parent: dict[tuple[int, str], tuple[int, str]] = {}
-    nodes = [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
-    for node in nodes:
-        parent[node] = node
-
-    def find(x: tuple[int, str]) -> tuple[int, str]:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: tuple[int, str], b: tuple[int, str]) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for cls in front_classes.classes:
-        for node in cls[1:]:
-            union(cls[0], node)
-    for cell, target in split.induced_targets.items():
-        union((last, cell), target)
-    grouped: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    for node in nodes:
-        grouped.setdefault(find(node), []).append(node)
-    classes = sorted(tuple(sorted(group)) for group in grouped.values())
-    index = {node: k for k, cls in enumerate(classes) for node in cls}
-    return CellClasses(classes, index)
+    links = [(cls[0], node) for cls in front_classes.classes for node in cls[1:]]
+    links.extend(((last, cell), target) for cell, target in split.induced_targets.items())
+    return _cell_classes(equivalence_classes(_all_cells(system), links))
 
 
-def closure_intersection_check(
-    system: AdjunctionSystem, max_tuple: int | None = None
-) -> dict[tuple[int, ...], bool]:
+def closure_intersection_check(system: AdjunctionSystem) -> dict[tuple[int, ...], bool]:
     """Per tuple i1<...<im: closure of the intersection equals the
-    intersection of the closures, computed in the smallest-index piece."""
-    out: dict[tuple[int, ...], bool] = {}
-    for tup in normalized_tuples(system.n(), 2, max_tuple):
-        ref = tup[0]
-        open_members = open_intersection(system, tup).members
-        closed_of_open = closure(CellSet.of(system.pieces[ref], open_members)).members
-        meet: set[str] | None = None
-        for k in tup[1:]:
-            cl = closure(system.region(ref, k)).members
-            meet = set(cl) if meet is None else (meet & cl)
-        out[tup] = closed_of_open == (meet or set())
+    intersection of the closures, computed in the smallest-index piece.
+
+    Every normalized tuple is a key; the tuples :func:`nerve` leaves out have
+    both sides empty and map to True.
+    """
+    out = dict.fromkeys(normalized_tuples(system.n()), True)
+    for entry in nerve(system):
+        out[entry.tup] = entry.closure_ok
     return out
 
 

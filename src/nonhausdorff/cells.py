@@ -11,9 +11,11 @@ is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .errors import PreconditionError, ValidationReport
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,29 +217,36 @@ def euler_characteristic(s: CellSet) -> int:
     return sum((-1) ** dims[c] for c in s.members)
 
 
-def _component_partition(s: CellSet) -> list[frozenset[str]]:
-    c = s.owner
-    parent: dict[str, str] = {m: m for m in s.members}
+def equivalence_classes(nodes: Iterable[Node], links: Iterable[tuple[Node, Node]]) -> list[list[Node]]:
+    """Classes of the equivalence on ``nodes`` generated by ``links``, by
+    union-find with path halving; each class keeps the order of ``nodes``.
 
-    def find(x: str) -> str:
+    ``links`` is read only after every node is registered, so it may be a
+    generator; a link naming an unregistered node raises KeyError.
+    """
+    parent: dict[Node, Node] = {node: node for node in nodes}
+
+    def find(x: Node) -> Node:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a: str, b: str) -> None:
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    groups: dict[Node, list[Node]] = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    return list(groups.values())
 
-    for m in s.members:
-        for face in c.faces_of(m):
-            if face in s.members:
-                union(m, face)
-    groups: dict[str, set[str]] = {}
-    for m in s.members:
-        groups.setdefault(find(m), set()).add(m)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(g))
+
+def _component_partition(s: CellSet) -> list[frozenset[str]]:
+    c = s.owner
+    links = ((m, face) for m in s.members for face in c.faces_of(m) if face in s.members)
+    groups = equivalence_classes(s.members, links)
+    return sorted((frozenset(g) for g in groups), key=min)
 
 
 def connected_components(s: CellSet) -> int:

@@ -2,18 +2,17 @@
 
 Commands read a system document (JSON), run the requested computation and
 print a human table or, with --json, a machine report.  Exit codes: 0 ok,
-1 validation failure, 2 precondition failure, 3 I/O or parse error.  The
-environment variable NH_MAX_TUPLE caps the intersection arity used by the
-alternating sums (default: unlimited).
+1 validation failure, 2 precondition failure, 3 I/O or parse error.  Every
+command but ``validate`` first requires a valid system; the commands are
+dispatched from the COMMANDS table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import cohomology, geometry
 from .adjunction import (
@@ -23,14 +22,9 @@ from .adjunction import (
     regular_open_check,
     validate_system,
 )
-from .cochains import integrate, stokes_defect
+from .cochains import GlobalCochain, integrate, stokes_defect
 from .cohomology import Flavor
-from .errors import (
-    IncompatibleCochainError,
-    PreconditionError,
-    SchemaError,
-    ValidationReport,
-)
+from .errors import IncompatibleCochainError, PreconditionError, SchemaError, ValidationReport
 from .schema import LoadedSystem, parse_cochain_document, parse_document
 
 EXIT_OK = 0
@@ -52,19 +46,10 @@ def _load(path: str) -> LoadedSystem:
     return parse_document(doc)
 
 
-def _max_tuple() -> int | None:
-    raw = os.environ.get("NH_MAX_TUPLE")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"NH_MAX_TUPLE: not an integer: {raw!r}") from exc
-    return value if value >= 2 else None
-
-
-def _validated(loaded: LoadedSystem) -> ValidationReport:
-    return validate_system(loaded.system)
+def _load_cochain(loaded: LoadedSystem, path: str) -> GlobalCochain:
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    return parse_cochain_document(doc, loaded.system, loaded.system.names)
 
 
 def _report(command: str, status: str, payload: Any, diagnostics: list[str]) -> dict:
@@ -100,17 +85,19 @@ def _pair_label(loaded: LoadedSystem, pair: tuple[int, int]) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_validate(loaded: LoadedSystem, out: _Output) -> int:
-    report = _validated(loaded)
-    payload: dict[str, Any] = {
-        "valid": report.ok,
-        "issues": [
-            {"rule": i.rule, "location": i.location, "message": i.message} for i in report.issues
-        ],
-    }
+def _issues(report: ValidationReport) -> list[dict[str, str]]:
+    return [{"rule": i.rule, "location": i.location, "message": i.message} for i in report.issues]
+
+
+def cmd_validate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    report = validate_system(loaded.system)
+    payload: dict[str, Any] = {"valid": report.ok, "issues": _issues(report)}
     lines = ["validate: " + ("OK" if report.ok else "INVALID")]
-    if report.ok:
-        closure_checks = closure_intersection_check(loaded.system, _max_tuple())
+    failed = not report.ok
+    if failed:
+        lines.extend("  " + i.render() for i in report.issues)
+    else:
+        closure_checks = closure_intersection_check(loaded.system)
         regular = regular_open_check(loaded.system)
         payload["closure_intersection"] = {
             _tuple_label(loaded, t): v for t, v in sorted(closure_checks.items())
@@ -121,41 +108,26 @@ def cmd_validate(loaded: LoadedSystem, out: _Output) -> int:
         if loaded.metrics is not None:
             metric_report = geometry.validate_metric(loaded.system, loaded.metrics)
             payload["metric_valid"] = metric_report.ok
-            payload["issues"].extend(
-                {"rule": i.rule, "location": i.location, "message": i.message}
-                for i in metric_report.issues
-            )
+            payload["issues"].extend(_issues(metric_report))
             lines.append(f"  metric: {'OK' if metric_report.ok else 'INVALID'}")
-            if not metric_report.ok:
-                lines.extend("  " + i.render() for i in metric_report.issues)
-                out.emit(_report("validate", "validation_failed", payload, []), "\n".join(lines))
-                return EXIT_VALIDATION
-    else:
-        lines.extend("  " + i.render() for i in report.issues)
-        out.emit(_report("validate", "validation_failed", payload, []), "\n".join(lines))
-        return EXIT_VALIDATION
-    out.emit(_report("validate", "ok", payload, []), "\n".join(lines))
-    return EXIT_OK
+            failed = not metric_report.ok
+            lines.extend("  " + i.render() for i in metric_report.issues)
+    status = "validation_failed" if failed else "ok"
+    out.emit(_report("validate", status, payload, []), "\n".join(lines))
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def _require_valid(loaded: LoadedSystem, command: str, out: _Output) -> bool:
-    report = _validated(loaded)
+    report = validate_system(loaded.system)
     if report.ok:
         return True
-    payload = {
-        "valid": False,
-        "issues": [
-            {"rule": i.rule, "location": i.location, "message": i.message} for i in report.issues
-        ],
-    }
+    payload = {"valid": False, "issues": _issues(report)}
     human = f"{command}: system is invalid\n" + "\n".join("  " + i.render() for i in report.issues)
     out.emit(_report(command, "validation_failed", payload, []), human)
     return False
 
 
-def cmd_hausdorff(loaded: LoadedSystem, out: _Output) -> int:
-    if not _require_valid(loaded, "hausdorff", out):
-        return EXIT_VALIDATION
+def cmd_hausdorff(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
     pairs = hausdorff_pairs(loaded.system)
     classes = glued_cell_classes(loaded.system)
     sizes: dict[int, int] = {}
@@ -183,11 +155,9 @@ def cmd_hausdorff(loaded: LoadedSystem, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_betti(loaded: LoadedSystem, flavor_key: str, out: _Output) -> int:
-    if not _require_valid(loaded, "betti", out):
-        return EXIT_VALIDATION
-    flavor = FLAVORS[flavor_key]
-    bicx = cohomology.build_bicomplex(loaded.system, flavor, loaded.cores, _max_tuple())
+def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    flavor_key = args.flavor
+    bicx = cohomology.build_bicomplex(loaded.system, FLAVORS[flavor_key], loaded.cores)
     values = cohomology.total_betti(bicx)
     display = cohomology.trim_trailing_zeros(values)
     display += [0] * (bicx.max_q + 1 - len(display))
@@ -196,11 +166,9 @@ def cmd_betti(loaded: LoadedSystem, flavor_key: str, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_euler(loaded: LoadedSystem, out: _Output) -> int:
-    if not _require_valid(loaded, "euler", out):
-        return EXIT_VALIDATION
-    chi = cohomology.euler_inclusion_exclusion(loaded.system, loaded.cores, _max_tuple())
-    bicx = cohomology.build_bicomplex(loaded.system, Flavor.OPEN_CORE, loaded.cores, _max_tuple())
+def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    chi = cohomology.euler_inclusion_exclusion(loaded.system, loaded.cores)
+    bicx = cohomology.build_bicomplex(loaded.system, Flavor.OPEN_CORE, loaded.cores)
     betti_open = cohomology.total_betti(bicx)
     alternating = sum((-1) ** q * b for q, b in enumerate(betti_open))
     payload = {
@@ -218,25 +186,15 @@ def cmd_euler(loaded: LoadedSystem, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_integrate(loaded: LoadedSystem, cochain_path: str, out: _Output) -> int:
-    if not _require_valid(loaded, "integrate", out):
-        return EXIT_VALIDATION
-    with open(cochain_path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    w = parse_cochain_document(doc, loaded.system, loaded.system.names)
-    value = integrate(w, _max_tuple())
+def cmd_integrate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    value = integrate(_load_cochain(loaded, args.cochain))
     payload = {"integral": str(value)}
     out.emit(_report("integrate", "ok", payload, []), f"integral = {value}")
     return EXIT_OK
 
 
-def cmd_stokes_check(loaded: LoadedSystem, cochain_path: str, out: _Output) -> int:
-    if not _require_valid(loaded, "stokes-check", out):
-        return EXIT_VALIDATION
-    with open(cochain_path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    w = parse_cochain_document(doc, loaded.system, loaded.system.names)
-    lhs, rhs = stokes_defect(w, _max_tuple())
+def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    lhs, rhs = stokes_defect(_load_cochain(loaded, args.cochain))
     payload = {"integral_of_dw": str(lhs), "minus_frontier_integral": str(rhs), "equal": lhs == rhs}
     human = (
         f"integral of dw over the glued space = {lhs}\n"
@@ -247,9 +205,8 @@ def cmd_stokes_check(loaded: LoadedSystem, cochain_path: str, out: _Output) -> i
     return EXIT_OK
 
 
-def cmd_mv_report(loaded: LoadedSystem, flavor_key: str, out: _Output) -> int:
-    if not _require_valid(loaded, "mv-report", out):
-        return EXIT_VALIDATION
+def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    flavor_key = args.flavor
     report = cohomology.mv_report(loaded.system, FLAVORS[flavor_key], loaded.cores)
     payload = {
         "flavor": flavor_key,
@@ -282,10 +239,8 @@ def cmd_mv_report(loaded: LoadedSystem, flavor_key: str, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_compare(loaded: LoadedSystem, out: _Output) -> int:
-    if not _require_valid(loaded, "compare", out):
-        return EXIT_VALIDATION
-    report = cohomology.de_rham_compare(loaded.system, loaded.cores, _max_tuple())
+def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    report = cohomology.de_rham_compare(loaded.system, loaded.cores)
     dr = cohomology.trim_trailing_zeros(report.de_rham)
     sing = cohomology.trim_trailing_zeros(report.singular)
     width = max(len(dr), len(sing), 1)
@@ -317,14 +272,10 @@ def cmd_compare(loaded: LoadedSystem, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_gauss_bonnet(loaded: LoadedSystem, out: _Output) -> int:
-    if not _require_valid(loaded, "gauss-bonnet", out):
-        return EXIT_VALIDATION
+def cmd_gauss_bonnet(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
     if loaded.metrics is None:
         raise PreconditionError("gauss-bonnet: document carries no edge lengths")
-    report = geometry.gauss_bonnet_report(
-        loaded.system, loaded.metrics, loaded.cores, _max_tuple()
-    )
+    report = geometry.gauss_bonnet_report(loaded.system, loaded.metrics, loaded.cores)
     payload = {
         "chi": report.chi,
         "lhs_2_pi_chi": report.lhs,
@@ -363,6 +314,22 @@ def cmd_gauss_bonnet(loaded: LoadedSystem, out: _Output) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+Handler = Callable[[LoadedSystem, argparse.Namespace, _Output], int]
+
+# name -> (handler, takes --flavor, takes a cochain document)
+COMMANDS: dict[str, tuple[Handler, bool, bool]] = {
+    "validate": (cmd_validate, False, False),
+    "hausdorff": (cmd_hausdorff, False, False),
+    "betti": (cmd_betti, True, False),
+    "euler": (cmd_euler, False, False),
+    "integrate": (cmd_integrate, False, True),
+    "stokes-check": (cmd_stokes_check, False, True),
+    "mv-report": (cmd_mv_report, True, False),
+    "compare": (cmd_compare, False, False),
+    "gauss-bonnet": (cmd_gauss_bonnet, False, False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonhausdorff",
@@ -371,53 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a machine-readable report")
     parser.add_argument("--quiet", action="store_true", help="suppress human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, needs_flavor: bool = False, needs_cochain: bool = False):
+    for name, (_, needs_flavor, needs_cochain) in COMMANDS.items():
         p = sub.add_parser(name)
         if needs_flavor:
             p.add_argument("--flavor", choices=sorted(FLAVORS), required=True)
         p.add_argument("path", help="system document (JSON)")
         if needs_cochain:
             p.add_argument("cochain", help="cochain document (JSON)")
-        return p
-
-    add("validate")
-    add("hausdorff")
-    add("betti", needs_flavor=True)
-    add("euler")
-    add("integrate", needs_cochain=True)
-    add("stokes-check", needs_cochain=True)
-    add("mv-report", needs_flavor=True)
-    add("compare")
-    add("gauss-bonnet")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = _Output(args.json, args.quiet)
     try:
         loaded = _load(args.path)
-        if args.command == "validate":
-            return cmd_validate(loaded, out)
-        if args.command == "hausdorff":
-            return cmd_hausdorff(loaded, out)
-        if args.command == "betti":
-            return cmd_betti(loaded, args.flavor, out)
-        if args.command == "euler":
-            return cmd_euler(loaded, out)
-        if args.command == "integrate":
-            return cmd_integrate(loaded, args.cochain, out)
-        if args.command == "stokes-check":
-            return cmd_stokes_check(loaded, args.cochain, out)
-        if args.command == "mv-report":
-            return cmd_mv_report(loaded, args.flavor, out)
-        if args.command == "compare":
-            return cmd_compare(loaded, out)
-        if args.command == "gauss-bonnet":
-            return cmd_gauss_bonnet(loaded, out)
-        parser.error(f"unknown command {args.command!r}")
+        if args.command != "validate" and not _require_valid(loaded, args.command, out):
+            return EXIT_VALIDATION
+        handler = COMMANDS[args.command][0]
+        return handler(loaded, args, out)
     except SchemaError as exc:
         _fail(out, args.command, "parse_error", str(exc))
         return EXIT_IO
@@ -433,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         _fail(out, args.command, "precondition_failed", str(exc))
         return EXIT_PRECONDITION
-    return EXIT_OK
 
 
 def _fail(out: _Output, command: str, status: str, message: str) -> None:

@@ -17,12 +17,11 @@ from .adjunction import (
     AdjunctionSystem,
     CellClasses,
     ClassKey,
-    closed_intersection,
     glued_cell_classes,
-    normalized_tuples,
+    nerve,
 )
 from .cells import CellSet, closure, frontier, is_face_closed, is_star_closed
-from .errors import IncompatibleCochainError, PreconditionError
+from .errors import IncompatibleCochainError, InvariantError, PreconditionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,28 +187,29 @@ def domain_integral(system: AdjunctionSystem, piece: int, domain: CellSet, w: Co
     return total
 
 
-def integrate(w: GlobalCochain, max_tuple: int | None = None) -> Fraction:
+def integrate(w: GlobalCochain) -> Fraction:
     """Alternating inclusion-exclusion integral of a top-degree global cochain.
 
     sum_i (integral over piece i)
       - sum_{p>=2} (-1)^p sum_{i1<...<ip} (integral over the closure of the
         p-fold intersection, taken in the smallest-index piece).
 
-    Cross-checked internally against the direct sum over glued cell classes.
+    Only the tuples of the nerve can have a nonempty closure.  Cross-checked
+    against the direct sum over glued cell classes; a mismatch raises
+    InvariantError.
     """
     system = w.system
     _require_oriented_top(system, w.degree)
     total = Fraction(0)
     for i in range(system.n()):
         total += piece_integral(system, i, w.component(i))
-    for tup in normalized_tuples(system.n(), 2, max_tuple):
-        domain = closed_intersection(system, tup)
-        ref = tup[0]
-        value = domain_integral(system, ref, domain, w.component(ref))
-        total -= (-1) ** len(tup) * value
-    if max_tuple is None:
-        check = _class_sum_integral(w)
-        assert total == check, f"inclusion-exclusion {total} != class sum {check}"
+    for entry in nerve(system):
+        ref = entry.tup[0]
+        value = domain_integral(system, ref, entry.closed, w.component(ref))
+        total -= (-1) ** len(entry.tup) * value
+    check = _class_sum_integral(w)
+    if total != check:
+        raise InvariantError(f"integrate: inclusion-exclusion {total} != class sum {check}")
     return total
 
 
@@ -247,7 +247,7 @@ def boundary_signs(system: AdjunctionSystem, piece: int, domain: CellSet) -> dic
     return out
 
 
-def stokes_defect(w: GlobalCochain, max_tuple: int | None = None) -> tuple[Fraction, Fraction]:
+def stokes_defect(w: GlobalCochain) -> tuple[Fraction, Fraction]:
     """For a binary adjunction of closed pieces, both sides of the exact
     failure of Stokes: (integral of dw over the glued space, minus the
     oriented frontier sum of w).  The two must agree exactly."""
@@ -264,7 +264,7 @@ def stokes_defect(w: GlobalCochain, max_tuple: int | None = None) -> tuple[Fract
                 raise PreconditionError(
                     f"stokes_defect: piece {system.names[idx]} is not closed at cell {cell!r}"
                 )
-    lhs = integrate(coboundary_global(w), max_tuple=max_tuple)
+    lhs = integrate(coboundary_global(w))
     region = system.region(0, 1)
     domain = closure(region)
     signs = boundary_signs(system, 0, domain)

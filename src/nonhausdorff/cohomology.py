@@ -23,10 +23,9 @@ from typing import Sequence
 
 from .adjunction import (
     AdjunctionSystem,
-    closed_intersection,
+    NerveTuple,
     closure_intersection_check,
-    normalized_tuples,
-    open_intersection,
+    nerve,
     regular_open_check,
     union_of_regions,
 )
@@ -104,19 +103,38 @@ class CoreAssignment:
 
 
 def resolve_cores(
-    system: AdjunctionSystem,
-    assignment: CoreAssignment | None,
-    max_tuple: int | None = None,
+    system: AdjunctionSystem, assignment: CoreAssignment | None
 ) -> dict[tuple[int, ...], CellSet]:
     """Fill in defaults (the open domain itself when it is already closed,
-    e.g. for clopen gluings) and verify containment and nesting."""
+    e.g. for clopen gluings) and verify containment and nesting.
+
+    Only tuples with a nonempty open intersection get an entry; every other
+    core is empty, and a nonempty one declared there is rejected.
+    """
+    return _resolve_cores(system, assignment, nerve(system), None)
+
+
+def _resolve_cores(
+    system: AdjunctionSystem,
+    assignment: CoreAssignment | None,
+    entries: list[NerveTuple],
+    max_tuple: int | None,
+) -> dict[tuple[int, ...], CellSet]:
     given = assignment.cores if assignment is not None else {}
+    domains = {entry.tup: entry.domain for entry in entries if entry.domain.members}
+    # every other tuple has an empty open intersection, so only a nonempty
+    # core declared on one of them can fail
+    stray = {
+        tup
+        for tup, core in given.items()
+        if core.members and tup not in domains and (max_tuple is None or len(tup) <= max_tuple)
+    }
     resolved: dict[tuple[int, ...], CellSet] = {}
-    for tup in normalized_tuples(system.n(), 2, max_tuple):
-        domain = open_intersection(system, tup)
+    for tup in sorted(domains.keys() | stray, key=lambda t: (len(t), t)):
+        domain = domains[tup] if tup in domains else CellSet.of(system.pieces[tup[0]], ())
         core = given.get(tup)
         if core is None:
-            if not domain.members or is_face_closed(domain):
+            if is_face_closed(domain):
                 core = domain
             else:
                 raise PreconditionError(
@@ -134,10 +152,10 @@ def resolve_cores(
             sub = tup[:drop] + tup[drop + 1 :]
             if len(sub) < 2:
                 continue
-            sub_core = resolved[sub]
+            sub_core = resolved[sub].members if sub in resolved else frozenset()
             for cell in core.sorted_members():
                 moved = cell if sub[0] == tup[0] else system.cell_map(tup[0], sub[0], cell)
-                if moved not in sub_core.members:
+                if moved not in sub_core:
                     raise PreconditionError(
                         f"core for tuple {tup} is not contained in the core for {sub}"
                     )
@@ -242,14 +260,17 @@ class Bicomplex:
         return FreeComplex(bases, maps)
 
 
-def _column_tuples(system: AdjunctionSystem, max_tuple: int | None) -> list[list[tuple[int, ...]]]:
-    singles: list[tuple[int, ...]] = [(i,) for i in range(system.n())]
-    columns = [singles]
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for tup in normalized_tuples(system.n(), 2, max_tuple):
-        by_size.setdefault(len(tup), []).append(tup)
-    for size in sorted(by_size):
-        columns.append(by_size[size])
+def _column_tuples(
+    system: AdjunctionSystem, domains: dict[tuple[int, ...], CellSet], max_tuple: int | None
+) -> list[list[tuple[int, ...]]]:
+    """Column p lists the (p+1)-tuples that carry a domain; a column is kept,
+    possibly empty, for every arity up to the cap, so the shape of the total
+    complex does not depend on which intersections are empty."""
+    n = system.n()
+    cap = n if max_tuple is None else min(n, max_tuple)
+    columns: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
+    for size in range(2, cap + 1):
+        columns.append(sorted(tup for tup in domains if len(tup) == size))
     return columns
 
 
@@ -263,18 +284,17 @@ def _flavor_domains(
     domains: dict[tuple[int, ...], CellSet] = {
         (i,): system.pieces[i].whole_set() for i in range(system.n())
     }
+    entries = nerve(system, max_tuple)
     if flavor is Flavor.CLOSED_INTERSECTION:
         if check_preconditions:
-            checks = closure_intersection_check(system, max_tuple)
-            bad = sorted(t for t, ok in checks.items() if not ok)
+            bad = sorted(entry.tup for entry in entries if not entry.closure_ok)
             if bad:
                 raise PreconditionError(
                     f"closure-intersection property violated at tuple {bad[0]}"
                 )
-        for tup in normalized_tuples(system.n(), 2, max_tuple):
-            domains[tup] = closed_intersection(system, tup)
+        domains.update((entry.tup, entry.closed) for entry in entries if entry.closed.members)
     else:
-        domains.update(resolve_cores(system, cores, max_tuple))
+        domains.update(_resolve_cores(system, cores, entries, max_tuple))
     return domains
 
 
@@ -294,10 +314,9 @@ def cech_differential(
     q: int,
     flavor: Flavor,
     cores: CoreAssignment | None = None,
-    max_tuple: int | None = None,
 ) -> Mat:
     """Matrix of delta: column p, degree q -> column p+1, degree q."""
-    bicx = build_bicomplex(system, flavor, cores, max_tuple)
+    bicx = build_bicomplex(system, flavor, cores)
     mat = bicx.horizontal.get((p, q))
     if mat is None:
         return Mat.zeros(bicx.dim(p + 1, q), bicx.dim(p, q))
@@ -311,8 +330,22 @@ def build_bicomplex(
     max_tuple: int | None = None,
     check_preconditions: bool = True,
 ) -> Bicomplex:
+    """The bicomplex of the given flavor over the nerve of the cover.
+
+    ``max_tuple`` caps the arity of the intersections; the pairs-only global
+    complex of :func:`global_complex_betti` is its one user.
+    """
     domains = _flavor_domains(system, flavor, cores, max_tuple, check_preconditions)
-    tuples_by_p = _column_tuples(system, max_tuple)
+    return _assemble(system, flavor, _column_tuples(system, domains, max_tuple), domains)
+
+
+def _assemble(
+    system: AdjunctionSystem,
+    flavor: Flavor,
+    tuples_by_p: list[list[tuple[int, ...]]],
+    domains: dict[tuple[int, ...], CellSet],
+) -> Bicomplex:
+    """The grid of cochain spaces on ``domains`` and its two differentials."""
     max_q = max(piece.top_dimension for piece in system.pieces)
 
     bases: dict[tuple[int, int], list[BasisLabel]] = {}
@@ -436,17 +469,13 @@ class RowExactnessReport:
         return all(node.exact for row in self.nodes.values() for node in row)
 
 
-def row_exactness_check(
-    system: AdjunctionSystem, max_tuple: int | None = None
-) -> RowExactnessReport:
+def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
     """Rank bookkeeping for each row 0 -> global -> column 0 -> ... -> 0 of
     the CLOSED flavor.  When the closure-intersection precondition fails the
     result is still reported, just not asserted as a theorem."""
-    checks = closure_intersection_check(system, max_tuple)
+    checks = closure_intersection_check(system)
     precondition_ok = all(checks.values())
-    bicx = build_bicomplex(
-        system, Flavor.CLOSED_INTERSECTION, max_tuple=max_tuple, check_preconditions=False
-    )
+    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False)
     columns = bicx.columns()
     global_dims: dict[int, int] = {}
     nodes: dict[int, list[RowNode]] = {}
@@ -599,17 +628,13 @@ def mv_report(
 # -- Euler characteristic and the comparison ----------------------------------
 
 
-def euler_inclusion_exclusion(
-    system: AdjunctionSystem,
-    cores: CoreAssignment | None = None,
-    max_tuple: int | None = None,
-) -> int:
+def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | None = None) -> int:
     """sum_p (-1)^{p+1} sum_{i1<...<ip} chi(intersection domain), with the
     homotopy type of each open intersection supplied by its core."""
     total = 0
     for i in range(system.n()):
         total += euler_characteristic(system.pieces[i].whole_set())
-    resolved = resolve_cores(system, cores, max_tuple)
+    resolved = resolve_cores(system, cores)
     for tup, core in resolved.items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
@@ -626,21 +651,13 @@ class CompareReport:
     hypotheses_hold: bool
 
 
-def de_rham_compare(
-    system: AdjunctionSystem,
-    cores: CoreAssignment | None = None,
-    max_tuple: int | None = None,
-) -> CompareReport:
+def de_rham_compare(system: AdjunctionSystem, cores: CoreAssignment | None = None) -> CompareReport:
     """Compute both flavors, flag EQUAL/UNEQUAL, and record whether the
     hypotheses of the comparison theorem (regular-open regions and unions,
     closure-intersection property) hold.  The comparison itself has no
     preconditions: the flavors are computed either way."""
-    dr = total_betti(
-        build_bicomplex(
-            system, Flavor.CLOSED_INTERSECTION, max_tuple=max_tuple, check_preconditions=False
-        )
-    )
-    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, max_tuple=max_tuple))
+    dr = total_betti(build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False))
+    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores))
     width = max(len(dr), len(sing))
     dr += [0] * (width - len(dr))
     sing += [0] * (width - len(sing))
@@ -649,7 +666,7 @@ def de_rham_compare(
     for k in range(1, system.n()):
         union = union_of_regions(system, k, range(k))
         unions[k] = interior(closure(union)).members == union.members
-    closure_ok = all(closure_intersection_check(system, max_tuple).values())
+    closure_ok = all(entry.closure_ok for entry in nerve(system))
     hypotheses = all(regions.values()) and all(unions.values()) and closure_ok
     return CompareReport(
         de_rham=dr,

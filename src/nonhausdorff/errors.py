@@ -13,6 +13,17 @@ class PreconditionError(NonHausdorffError):
     """An operation was called on input that violates its stated hypotheses."""
 
 
+class InvariantError(PreconditionError):
+    """An identity that every valid input satisfies failed to hold.
+
+    Raised where the code cross-checks one computation against another, so
+    the check survives ``python -O``; reaching it means the input bypassed a
+    hypothesis that is not checked up front (e.g. a hand-built, incompatible
+    global cochain, or a triangle too close to degenerate for the float
+    budget).
+    """
+
+
 class IncompatibleCochainError(NonHausdorffError):
     """Per-piece cochains disagree on a shared cell and cannot be assembled."""
 

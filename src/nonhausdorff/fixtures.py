@@ -18,6 +18,7 @@ from .adjunction import AdjunctionSystem
 from .cells import CellComplex, CellSet, Orientation, closure
 from .cohomology import CoreAssignment
 from .geometry import MetricComplex
+from .schema import serialize_system
 
 
 @dataclass(eq=False)
@@ -661,6 +662,10 @@ FIXTURE_BUILDERS: dict[str, Callable[[], Fixture]] = {
 }
 
 
+def serialize_fixture(fx: Fixture) -> dict:
+    return serialize_system(fx.name, fx.system, fx.cores, fx.metrics)
+
+
 def build(name: str) -> Fixture:
     return FIXTURE_BUILDERS[name]()
 
@@ -670,8 +675,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     import json
     import pathlib
     import sys
-
-    from .schema import serialize_fixture
 
     args = list(sys.argv[1:] if argv is None else argv)
     outdir = pathlib.Path(args[0]) if args else pathlib.Path("fixtures")

@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .adjunction import (
-    AdjunctionSystem,
-    ClassKey,
-    closed_intersection,
-    glued_cell_classes,
-    normalized_tuples,
-)
+from .adjunction import AdjunctionSystem, ClassKey, glued_cell_classes, nerve, normalized_tuples
 from .cells import CellComplex, CellSet, closure, star
 from .cohomology import CoreAssignment, euler_inclusion_exclusion
-from .errors import PreconditionError, ValidationReport
+from .errors import InvariantError, PreconditionError, ValidationReport
 
 ANGLE_TOLERANCE = 1e-9
 
@@ -69,7 +63,9 @@ def corner_angles(mc: MetricComplex, triangle: str) -> dict[str, float]:
         b, c, a = mc.length(e1), mc.length(e2), mc.length(opposite)
         cos_angle = (b * b + c * c - a * a) / (2.0 * b * c)
         out[v] = math.acos(max(-1.0, min(1.0, cos_angle)))
-    assert abs(sum(out.values()) - math.pi) <= ANGLE_TOLERANCE
+    total = sum(out.values())
+    if not abs(total - math.pi) <= ANGLE_TOLERANCE:
+        raise InvariantError(f"corner angles of triangle {triangle!r} sum to {total!r}, not pi")
     return out
 
 
@@ -179,15 +175,12 @@ class CurvatureLedger:
     pair_side_turnings: dict[tuple[int, int], dict[str, float]]
 
 
-def curvature_ledger(
-    system: AdjunctionSystem,
-    metrics: Sequence[MetricComplex],
-    max_tuple: int | None = None,
-) -> CurvatureLedger:
+def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> CurvatureLedger:
     """Defect 2*pi - (angle sum) at every vertex of every piece (doubled
     frontier vertices count once per copy, inside their own piece) and
     turning angle pi - (angle sum inside) at every boundary vertex of every
-    closed intersection domain."""
+    closed intersection domain.  Every normalized tuple has an entry; those
+    outside the nerve have an empty domain and zero totals."""
     validate_metric(system, metrics).require("curvature_ledger")
     _require_closed_surfaces(system)
     angle_sums = _piece_angle_sums(system, metrics)
@@ -204,16 +197,13 @@ def curvature_ledger(
         if system.pieces[i].dims[cell] == 0:
             class_defects[key] = piece_defects[i][cell]
 
-    tuple_interior_totals: dict[tuple[int, ...], float] = {}
-    turning_angles: dict[tuple[int, ...], dict[str, float]] = {}
-    tuple_turning_totals: dict[tuple[int, ...], float] = {}
-    for tup in normalized_tuples(system.n(), 2, max_tuple):
-        ref = tup[0]
-        domain = closed_intersection(system, tup)
+    tuples = normalized_tuples(system.n())
+    tuple_interior_totals = dict.fromkeys(tuples, 0.0)
+    turning_angles: dict[tuple[int, ...], dict[str, float]] = {tup: {} for tup in tuples}
+    tuple_turning_totals = dict.fromkeys(tuples, 0.0)
+    for entry in nerve(system):
+        tup, ref, domain = entry.tup, entry.tup[0], entry.closed
         if not domain.members:
-            tuple_interior_totals[tup] = 0.0
-            turning_angles[tup] = {}
-            tuple_turning_totals[tup] = 0.0
             continue
         inside = _interior_vertices(system.pieces[ref], domain)
         tuple_interior_totals[tup] = sum(piece_defects[ref][v] for v in sorted(inside))
@@ -271,13 +261,12 @@ def gauss_bonnet_report(
     system: AdjunctionSystem,
     metrics: Sequence[MetricComplex],
     cores: CoreAssignment | None = None,
-    max_tuple: int | None = None,
 ) -> GaussBonnetReport:
     """lhs = 2*pi*chi (chi by inclusion-exclusion over cores); rhs assembles
     the inclusion-exclusion of angle defects plus the alternating
     turning-angle counterterms.  The contract is |lhs - rhs| <= 1e-9."""
-    ledger = curvature_ledger(system, metrics, max_tuple=max_tuple)
-    chi = euler_inclusion_exclusion(system, cores, max_tuple=max_tuple)
+    ledger = curvature_ledger(system, metrics)
+    chi = euler_inclusion_exclusion(system, cores)
     lhs = 2.0 * math.pi * chi
 
     curvature = sum(ledger.piece_totals)

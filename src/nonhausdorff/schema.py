@@ -18,7 +18,6 @@ from .cells import CellComplex, CellSet, Orientation
 from .cochains import Cochain, GlobalCochain, assemble_global
 from .cohomology import CoreAssignment
 from .errors import SchemaError
-from .fixtures import Fixture
 from .geometry import MetricComplex
 
 SCHEMA_VERSION = "1"
@@ -186,10 +185,6 @@ def parse_document(doc: Any) -> LoadedSystem:
             metrics.append(MetricComplex(pieces[k], lengths))
 
     return LoadedSystem(name=name, system=system, cores=cores, metrics=metrics)
-
-
-def serialize_fixture(fx: Fixture) -> dict:
-    return serialize_system(fx.name, fx.system, fx.cores, fx.metrics)
 
 
 def serialize_system(

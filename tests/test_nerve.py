@@ -1,0 +1,171 @@
+"""The nerve walk against the 2^n tuple walks kept in oracle.py.
+
+The differential test draws shipped fixtures and generated non-Hausdorff
+covers (hub paths with 2-6 spokes at spacing 2-4, k-origin lines with
+k = 2-5) and compares every consumer of the nerve with its reference.
+"""
+
+from __future__ import annotations
+
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from nonhausdorff.adjunction import closure_intersection_check, nerve, validate_system
+from nonhausdorff.cells import CellSet
+from nonhausdorff.cochains import integrate
+from nonhausdorff.cohomology import (
+    CoreAssignment,
+    Flavor,
+    build_bicomplex,
+    euler_inclusion_exclusion,
+    resolve_cores,
+    total_betti,
+)
+from nonhausdorff.errors import NonHausdorffError, PreconditionError
+from nonhausdorff.fixtures import FIXTURE_BUILDERS, closure_violation
+
+from conftest import hub_with_spokes, k_origin_line, random_global_cochain
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+covers = st.one_of(
+    st.sampled_from(sorted(FIXTURE_BUILDERS)).map(lambda name: FIXTURE_BUILDERS[name]()),
+    st.builds(hub_with_spokes, st.integers(2, 6), st.integers(2, 4)),
+    st.builds(k_origin_line, st.integers(2, 5)),
+)
+
+
+def outcome(fn, *args):
+    """The value, or the library error's type and message."""
+    try:
+        return ("ok", fn(*args))
+    except NonHausdorffError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def members(cores: dict) -> dict:
+    """Resolved cores as member sets, empty cores left out."""
+    return {tup: core.members for tup, core in cores.items() if core.members}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fx=covers, seed=st.integers(0, 2**16))
+def test_nerve_consumers_match_the_tuple_walk(fx, seed):
+    system = fx.system
+    assert closure_intersection_check(system) == oracle.closure_intersection_check(system)
+
+    got = outcome(resolve_cores, system, fx.cores)
+    want = outcome(oracle.resolve_cores, system, fx.cores)
+    if got[0] == "ok" and want[0] == "ok":
+        assert members(got[1]) == members(want[1])
+    else:
+        assert got == want
+    assert outcome(euler_inclusion_exclusion, system, fx.cores) == outcome(
+        oracle.euler_inclusion_exclusion, system, fx.cores
+    )
+    for flavor in Flavor:
+        got = outcome(lambda: total_betti(build_bicomplex(system, flavor, fx.cores)))
+        want = outcome(lambda: total_betti(oracle.build_bicomplex(system, flavor, fx.cores)))
+        assert got == want, flavor
+
+    tops = {piece.top_dimension for piece in system.pieces}
+    if system.orientations is not None and len(tops) == 1 and validate_system(system).ok:
+        w = random_global_cochain(system, tops.pop(), random.Random(seed))
+        assert integrate(w) == oracle.integrate(w)
+
+
+def test_sparse_hub_nerve_has_one_tuple_per_spoke():
+    entries = nerve(hub_with_spokes(13, 4).system)
+    assert [entry.tup for entry in entries] == [(0, s) for s in range(1, 14)]
+    assert all(entry.closure_ok for entry in entries)
+
+
+def test_close_spokes_visit_their_empty_neighbour_pairs():
+    # at spacing 2 neighbouring closures share a vertex: those triples are
+    # visited, have an empty intersection and fail the closure check
+    entries = nerve(hub_with_spokes(13, 2).system)
+    bad = [entry.tup for entry in entries if not entry.closure_ok]
+    assert len(entries) == 13 + 12
+    assert bad == [(0, s, s + 1) for s in range(1, 13)]
+    assert all(not entry.domain.members for entry in entries if entry.tup in bad)
+
+
+def test_dense_line_nerve_has_every_tuple():
+    entries = nerve(k_origin_line(8).system)
+    assert len(entries) == 2**8 - 8 - 1 == 247
+    assert all(entry.domain.members for entry in entries)
+
+
+def test_max_tuple_caps_the_arity():
+    system = k_origin_line(5).system
+    assert {len(entry.tup) for entry in nerve(system, 2)} == {2}
+    assert len(nerve(system, 3)) == 10 + 10
+    assert nerve(system, 1) == []
+
+
+def test_closure_violation_triple_is_visited_with_an_empty_intersection():
+    (triple,) = [entry for entry in nerve(closure_violation().system) if entry.tup == (0, 1, 2)]
+    assert not triple.domain.members and triple.closure_meet == {"v0"}
+    assert not triple.closure_ok
+
+
+def test_nonempty_core_on_an_empty_intersection_is_rejected():
+    fx = closure_violation()
+    cores = dict(fx.cores.cores)
+    cores[(1, 2)] = CellSet.of(fx.system.pieces[1], ["u0"])
+    message = "core for tuple (1, 2) is not contained in the open intersection"
+    with pytest.raises(PreconditionError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        resolve_cores(fx.system, CoreAssignment(cores))
+    assert outcome(oracle.resolve_cores, fx.system, CoreAssignment(cores))[2] == message
+
+
+def test_cross_checks_raise_under_optimisation():
+    # asserts vanish under -O; the class-sum and angle-sum checks must not
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from nonhausdorff.cells import CellComplex
+        from nonhausdorff.cochains import Cochain, GlobalCochain, integrate
+        from nonhausdorff.errors import InvariantError
+        from nonhausdorff.fixtures import line_two_origins
+        from nonhausdorff.geometry import MetricComplex, corner_angles
+
+        system = line_two_origins().system
+        parts = [
+            Cochain.of(piece.whole_set(), 1, {"e1": Fraction(k + 1)})
+            for k, piece in enumerate(system.pieces)
+        ]
+        try:
+            integrate(GlobalCochain(system, 1, tuple(parts)))
+        except InvariantError as exc:
+            print(exc)
+        tri = CellComplex.build(
+            [("a", 0), ("b", 0), ("c", 0), ("x", 1), ("y", 1), ("z", 1), ("t", 2)],
+            {"x": {"a": -1, "b": 1}, "y": {"b": -1, "c": 1}, "z": {"a": -1, "c": 1},
+             "t": {"x": 1, "y": 1, "z": -1}},
+        )
+        try:
+            corner_angles(MetricComplex(tri, {"x": -1.0, "y": 1.0, "z": 1.0}), "t")
+        except InvariantError as exc:
+            print(exc)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "integrate: inclusion-exclusion 2 != class sum 1"
+    assert lines[1].startswith("corner angles of triangle 't' sum to ")

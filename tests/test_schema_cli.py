@@ -7,12 +7,16 @@ from nonhausdorff import cli
 from nonhausdorff.adjunction import glued_cell_classes, hausdorff_pairs
 from nonhausdorff.cochains import Cochain, assemble_global
 from nonhausdorff.errors import SchemaError
-from nonhausdorff.fixtures import FIXTURE_BUILDERS, glued_circles, line_two_origins
+from nonhausdorff.fixtures import (
+    FIXTURE_BUILDERS,
+    glued_circles,
+    line_two_origins,
+    serialize_fixture,
+)
 from nonhausdorff.schema import (
     parse_cochain_document,
     parse_document,
     serialize_cochain,
-    serialize_fixture,
     serialize_system,
 )
 
@@ -216,14 +220,20 @@ def test_cli_mv_report_and_compare(capsys):
     assert json.loads(out)["payload"]["verdict"] == "EQUAL"
 
 
-def test_cli_max_tuple_env(capsys, monkeypatch):
+def test_cli_answers_ignore_nh_max_tuple(capsys, monkeypatch):
+    # the variable once capped the intersection arity and silently changed
+    # the answers; no setting of the environment may do that
     monkeypatch.setenv("NH_MAX_TUPLE", "2")
     path = str(FIXTURES_DIR / "line_three_origins.json")
+    code, out = run_cli(capsys, "--json", "betti", "--flavor", "dr", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["betti"] == [1, 0]
+    code, out = run_cli(capsys, "--json", "euler", path)
+    assert code == 0
+    assert json.loads(out)["payload"]["inclusion_exclusion"] == -1
     code, out = run_cli(capsys, "--json", "validate", path)
     assert code == 0
-    payload = json.loads(out)["payload"]
-    assert all("," not in k or k.count(",") == 1 for k in payload["closure_intersection"])
-    monkeypatch.delenv("NH_MAX_TUPLE")
+    assert json.loads(out)["payload"]["closure_intersection"]["(P1,P2,P3)"] is True
 
 
 def test_cli_quiet_suppresses_human_output(capsys):
