@@ -20,7 +20,7 @@ from .adjunction import (
     glued_cell_classes,
     nerve,
 )
-from .cells import CellSet, closure, frontier, is_face_closed, is_star_closed
+from .cells import CellSet, Orientation, closure, frontier, is_face_closed, is_star_closed
 from .errors import IncompatibleCochainError, InvariantError, PreconditionError
 
 
@@ -167,10 +167,15 @@ def _require_oriented_top(system: AdjunctionSystem, degree: int) -> int:
     return top
 
 
+def _orientation(system: AdjunctionSystem, piece: int, context: str) -> Orientation:
+    if system.orientations is None:
+        raise PreconditionError(f"{context}: system carries no orientation")
+    return system.orientations[piece]
+
+
 def piece_integral(system: AdjunctionSystem, piece: int, w: Cochain) -> Fraction:
     """Orientation-signed sum of the values on the top cells of one piece."""
-    assert system.orientations is not None
-    orient = system.orientations[piece]
+    orient = _orientation(system, piece, "piece_integral")
     total = Fraction(0)
     for cell in system.pieces[piece].cells_of_dim(system.pieces[piece].top_dimension):
         total += orient.sign(cell) * w.value(cell)
@@ -178,8 +183,7 @@ def piece_integral(system: AdjunctionSystem, piece: int, w: Cochain) -> Fraction
 
 
 def domain_integral(system: AdjunctionSystem, piece: int, domain: CellSet, w: Cochain) -> Fraction:
-    assert system.orientations is not None
-    orient = system.orientations[piece]
+    orient = _orientation(system, piece, "domain_integral")
     top = system.pieces[piece].top_dimension
     total = Fraction(0)
     for cell in domain.members_of_dim(top):
@@ -215,7 +219,6 @@ def integrate(w: GlobalCochain) -> Fraction:
 
 def _class_sum_integral(w: GlobalCochain) -> Fraction:
     system = w.system
-    assert system.orientations is not None
     classes = glued_cell_classes(system)
     top = system.pieces[0].top_dimension
     total = Fraction(0)
@@ -223,7 +226,7 @@ def _class_sum_integral(w: GlobalCochain) -> Fraction:
         i, cell = key[0]
         if system.pieces[i].dims[cell] != top:
             continue
-        total += system.orientations[i].sign(cell) * w.value(i, cell)
+        total += _orientation(system, i, "integrate").sign(cell) * w.value(i, cell)
     return total
 
 
@@ -233,9 +236,8 @@ def boundary_signs(system: AdjunctionSystem, piece: int, domain: CellSet) -> dic
     For a codim-1 cell f the sign is the sum of orientation(t)*incidence(t,f)
     over the top cells t of the domain; interior cells cancel to zero.
     """
-    assert system.orientations is not None
     complex_ = system.pieces[piece]
-    orient = system.orientations[piece]
+    orient = _orientation(system, piece, "boundary_signs")
     top = complex_.top_dimension
     out: dict[str, int] = {}
     for cell in domain.members_of_dim(top - 1):

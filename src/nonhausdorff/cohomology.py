@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .adjunction import (
@@ -31,7 +30,7 @@ from .adjunction import (
 )
 from .cells import CellSet, euler_characteristic, interior, closure, is_face_closed
 from .errors import PreconditionError
-from .linalg import Mat, Vec, independent_columns, solve_columns
+from .linalg import Mat
 
 
 class Flavor(Enum):
@@ -62,13 +61,29 @@ class FreeComplex:
 def betti(fc: FreeComplex) -> list[int]:
     """b_q = dim ker(d_q) - rank(d_{q-1}), by exact elimination."""
     fc.validate()
-    ranks = [m.rank() for m in fc.maps]
-    out = []
-    for q in range(len(fc.bases)):
-        r_out = ranks[q] if q < len(ranks) else 0
-        r_in = ranks[q - 1] if q >= 1 else 0
-        out.append(fc.dim(q) - r_out - r_in)
-    return out
+    ranks = {q: m.rank() for q, m in enumerate(fc.maps)}
+    return _betti_from_ranks([fc.dim(q) for q in range(len(fc.bases))], ranks)
+
+
+def _betti_from_ranks(dims: list[int], ranks: dict[int, int]) -> list[int]:
+    """b_q = dims[q] - ranks[q] - ranks[q-1], where ranks[q] is the rank of
+    the differential out of degree q (0 where ``ranks`` has no entry)."""
+    return [dims[q] - ranks.get(q, 0) - ranks.get(q - 1, 0) for q in range(len(dims))]
+
+
+def _stacked_rank(*block_rows: list[Mat]) -> int:
+    """Rank of the block matrix with the given block rows, blocks placed left
+    to right; a block row shorter than the first is padded with zero blocks."""
+    rows: list[dict] = []
+    for blocks in block_rows:
+        for r in range(blocks[0].nrows):
+            row: dict = {}
+            offset = 0
+            for block in blocks:
+                row.update((offset + c, v) for c, v in block.rows[r].items())
+                offset += block.ncols
+            rows.append(row)
+    return Mat(len(rows), sum(block.ncols for block in block_rows[0]), rows).rank()
 
 
 def complex_free_complex(c) -> FreeComplex:
@@ -189,6 +204,16 @@ class Bicomplex:
 
     def dim(self, p: int, q: int) -> int:
         return len(self.bases.get((p, q), []))
+
+    def d(self, p: int, q: int) -> Mat:
+        """d out of (p, q); outside the grid, the zero map with an empty side."""
+        mat = self.vertical.get((p, q))
+        return mat if mat is not None else Mat.zeros(self.dim(p, q + 1), self.dim(p, q))
+
+    def delta(self, p: int, q: int) -> Mat:
+        """delta out of (p, q); in the last column, the zero map to nothing."""
+        mat = self.horizontal.get((p, q))
+        return mat if mat is not None else Mat.zeros(self.dim(p + 1, q), self.dim(p, q))
 
     def verify(self) -> None:
         """delta^2 = 0, d^2 = 0 and d delta = delta d on every grid cell."""
@@ -316,11 +341,7 @@ def cech_differential(
     cores: CoreAssignment | None = None,
 ) -> Mat:
     """Matrix of delta: column p, degree q -> column p+1, degree q."""
-    bicx = build_bicomplex(system, flavor, cores)
-    mat = bicx.horizontal.get((p, q))
-    if mat is None:
-        return Mat.zeros(bicx.dim(p + 1, q), bicx.dim(p, q))
-    return mat
+    return build_bicomplex(system, flavor, cores).delta(p, q)
 
 
 def build_bicomplex(
@@ -419,30 +440,24 @@ def trim_trailing_zeros(values: Sequence[int]) -> list[int]:
 
 
 def global_complex_betti(system: AdjunctionSystem) -> list[int]:
-    """Betti numbers of the complex of global cochains, i.e. the kernel of
-    delta at column p=0 of the CLOSED flavor, with componentwise d."""
+    """Betti numbers of the complex of global cochains, i.e. the kernel K of
+    delta at column p=0 of the CLOSED flavor, with componentwise d.
+
+    From ranks alone, with delta_q the (0, q) block of the pairs-only
+    bicomplex (0 x dim C^q for one piece) and d_q the vertical map:
+    b_q = dim C^q - rank delta_q - r_q - r_{q-1}, where
+    r_q = rank [delta_q; d_q] - rank delta_q is the rank of d on K^q.
+    """
     bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, max_tuple=2, check_preconditions=False)
-    max_q = bicx.max_q
-    kernels: list[list[Vec]] = []
-    for q in range(max_q + 1):
-        delta = bicx.horizontal.get((0, q))
-        if delta is None:
-            delta = Mat.zeros(0, bicx.dim(0, q))
-        kernels.append(delta.nullspace())
-    maps: list[Mat] = []
-    for q in range(max_q):
-        d = bicx.vertical[(0, q)]
-        mat = Mat.zeros(len(kernels[q + 1]), len(kernels[q]))
-        for col, vec in enumerate(kernels[q]):
-            image = d.apply(vec)
-            coeffs = solve_columns(kernels[q + 1], bicx.dim(0, q + 1), image)
-            assert coeffs is not None, "d does not preserve the global cochain subspace"
-            for row, value in enumerate(coeffs):
-                if value:
-                    mat.add_to(row, col, value)
-        maps.append(mat)
-    bases = [list(range(len(k))) for k in kernels]
-    return betti(FreeComplex(bases, maps))
+    # raises unless d delta = delta d, which makes d map K^q = ker delta_q into K^{q+1}
+    bicx.verify()
+    degrees = range(bicx.max_q + 1)
+    rank_delta = [bicx.delta(0, q).rank() for q in degrees]
+    rank_on_kernel = {
+        q: _stacked_rank([bicx.delta(0, q)], [bicx.vertical[(0, q)]]) - rank_delta[q]
+        for q in range(bicx.max_q)
+    }
+    return _betti_from_ranks([bicx.dim(0, q) - rank_delta[q] for q in degrees], rank_on_kernel)
 
 
 # -- row exactness ------------------------------------------------------------
@@ -480,10 +495,7 @@ def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
     global_dims: dict[int, int] = {}
     nodes: dict[int, list[RowNode]] = {}
     for q in range(bicx.max_q + 1):
-        ranks = []
-        for p in range(columns - 1):
-            mat = bicx.horizontal.get((p, q))
-            ranks.append(mat.rank() if mat is not None else 0)
+        ranks = [bicx.horizontal[(p, q)].rank() for p in range(columns - 1)]
         dims = [bicx.dim(p, q) for p in range(columns)]
         global_dims[q] = dims[0] - ranks[0] if columns > 1 else dims[0]
         row_nodes: list[RowNode] = []
@@ -524,31 +536,6 @@ class MVReport:
         )
 
 
-def _cohomology_reps(dims: list[int], maps: list[Mat]) -> tuple[list[list[Vec]], list[list[Vec]]]:
-    """Per degree: (image basis of d_{q-1}, representatives of H^q)."""
-    images: list[list[Vec]] = []
-    reps: list[list[Vec]] = []
-    for q in range(len(dims)):
-        if q == 0:
-            img_cols: list[Vec] = []
-        else:
-            prev = maps[q - 1]
-            cols: list[Vec] = [dict() for _ in range(prev.ncols)]
-            for r, row in enumerate(prev.rows):
-                for c, v in row.items():
-                    cols[c][r] = v
-            img_cols = [cols[j] for j in independent_columns(cols, dims[q])]
-        kernel = maps[q].nullspace() if q < len(maps) else [
-            {k: Fraction(1)} for k in range(dims[q])
-        ]
-        candidates = img_cols + kernel
-        chosen = independent_columns(candidates, dims[q])
-        rep_vecs = [candidates[j] for j in chosen if j >= len(img_cols)]
-        images.append(img_cols)
-        reps.append(rep_vecs)
-    return images, reps
-
-
 def mv_report(
     system: AdjunctionSystem,
     flavor: Flavor = Flavor.CLOSED_INTERSECTION,
@@ -556,72 +543,47 @@ def mv_report(
 ) -> MVReport:
     """Long-exact-sequence bookkeeping for a binary system: per degree the
     three term dimensions, the rank of (restriction - pullback) on cohomology
-    and the derived dimension; the alternating sum of all dims must vanish."""
+    and the derived dimension; the alternating sum of all dims must vanish.
+
+    With A the column of pieces, B the column of the domain, d_A and d_B
+    their vertical maps and f = delta_q the chain map A^q -> B^q,
+    rank f_* = rank [[delta_q, d_B^{q-1}], [d_A^q, 0]] - rank d_A^q - rank d_B^{q-1}.
+    The column Betti numbers come from the same ranks of d_A and d_B.
+    """
     if system.n() != 2:
         raise PreconditionError("mv_report: system is not binary")
     bicx = build_bicomplex(system, flavor, cores)
-    max_q = bicx.max_q
-    h_total_all = total_betti(bicx)
-
-    dims_pieces = [bicx.dim(0, q) for q in range(max_q + 1)]
-    maps_pieces = [bicx.vertical[(0, q)] for q in range(max_q)]
-    dims_domain = [bicx.dim(1, q) for q in range(max_q + 1)]
-    maps_domain = [bicx.vertical[(1, q)] for q in range(max_q)]
-
-    betti_pieces = betti(FreeComplex([list(range(d)) for d in dims_pieces], maps_pieces))
-    betti_domain = betti(FreeComplex([list(range(d)) for d in dims_domain], maps_domain))
-
-    img_p, reps_p = _cohomology_reps(dims_pieces, maps_pieces)
-    img_d, reps_d = _cohomology_reps(dims_domain, maps_domain)
-
-    ranks: list[int] = []
-    for q in range(max_q + 1):
-        delta = bicx.horizontal[(0, q)]
-        cols: list[Vec] = []
-        for rep in reps_p[q]:
-            image = delta.apply(rep)
-            coeffs = solve_columns(img_d[q] + reps_d[q], dims_domain[q], image)
-            assert coeffs is not None, "delta is not a chain map on cohomology"
-            rep_part = coeffs[len(img_d[q]) :]
-            cols.append({k: v for k, v in enumerate(rep_part) if v})
-        ranks.append(len(independent_columns(cols, len(reps_d[q]))))
-
+    # total_betti checks D^2 = 0, i.e. d^2 = 0, delta^2 = 0 and d delta = delta d
+    h_total = total_betti(bicx)
+    # one degree past the columns: the connecting map out of B^{max_q} lands there
+    degrees = range(len(h_total))
+    rank_a = {q: bicx.vertical[(0, q)].rank() for q in range(bicx.max_q)}
+    rank_b = {q: bicx.vertical[(1, q)].rank() for q in range(bicx.max_q)}
+    h_a = _betti_from_ranks([bicx.dim(0, q) for q in degrees], rank_a)
+    h_b = _betti_from_ranks([bicx.dim(1, q) for q in degrees], rank_b)
+    rank_f = [
+        _stacked_rank([bicx.delta(0, q), bicx.d(1, q - 1)], [bicx.d(0, q)])
+        - rank_a.get(q, 0)
+        - rank_b.get(q - 1, 0)
+        for q in degrees
+    ]
     rows: list[MVRow] = []
-    alternating = 0
-    for q in range(max_q + 1):
-        h_total = h_total_all[q] if q < len(h_total_all) else 0
-        kernel_dim = betti_pieces[q] - ranks[q]
-        coker_prev = (betti_domain[q - 1] - ranks[q - 1]) if q >= 1 else 0
-        derived = kernel_dim + coker_prev
+    for q in degrees:
+        kernel_dim = h_a[q] - rank_f[q]
+        coker_prev = h_b[q - 1] - rank_f[q - 1] if q >= 1 else 0
         rows.append(
             MVRow(
                 q=q,
-                h_total=h_total,
-                h_pieces=betti_pieces[q],
-                h_domain=betti_domain[q],
-                rank_on_cohomology=ranks[q],
+                h_total=h_total[q],
+                h_pieces=h_a[q],
+                h_domain=h_b[q],
+                rank_on_cohomology=rank_f[q],
                 kernel_dim=kernel_dim,
                 coker_prev=coker_prev,
-                derived_h_total=derived,
+                derived_h_total=kernel_dim + coker_prev,
             )
         )
-        alternating += (-1) ** q * (h_total - betti_pieces[q] + betti_domain[q])
-    # the connecting map out of the last domain degree lands in degree max_q+1
-    tail = len(h_total_all) - 1
-    if tail > max_q:
-        alternating += (-1) ** tail * h_total_all[tail]
-        rows.append(
-            MVRow(
-                q=tail,
-                h_total=h_total_all[tail],
-                h_pieces=0,
-                h_domain=0,
-                rank_on_cohomology=0,
-                kernel_dim=0,
-                coker_prev=betti_domain[max_q] - ranks[max_q],
-                derived_h_total=betti_domain[max_q] - ranks[max_q],
-            )
-        )
+    alternating = sum((-1) ** q * (h_total[q] - h_a[q] + h_b[q]) for q in degrees)
     return MVReport(flavor, rows, alternating)
 
 

@@ -1,15 +1,20 @@
 """Sparse exact linear algebra over the rationals.
 
-Everything downstream (Betti numbers, exactness checks, induced maps on
-cohomology) reduces to ranks, nullspaces and membership in column spans, so
-this module implements just those, via fraction-exact Gauss-Jordan
-elimination on sparse rows.
+All cohomology in this package reduces to :meth:`Mat.rank`, computed by
+fraction-exact Gauss-Jordan elimination on sparse rows: Betti numbers,
+kernels of the Cech differential and ranks of induced maps on cohomology are
+all ranks of (stacked) matrices.  ``Mat.nullspace``, ``solve_columns`` and
+``independent_columns`` have no caller in the library; they remain because
+the test oracle builds its explicit-basis reference from them and the
+benchmark's tracer binds them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .errors import PreconditionError
 
 Vec = dict[int, Fraction]
 
@@ -48,29 +53,16 @@ class Mat:
 
     def matmul(self, other: "Mat") -> "Mat":
         """self @ other (self maps other's target onward)."""
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise PreconditionError(
+                f"matmul: a {self.nrows}x{self.ncols} matrix cannot multiply a "
+                f"{other.nrows}x{other.ncols} one"
+            )
         out = Mat.zeros(self.nrows, other.ncols)
         for r in range(self.nrows):
             for k, a in self.rows[r].items():
                 for c, b in other.rows[k].items():
                     out.add_to(r, c, a * b)
-        return out
-
-    def apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for r in range(self.nrows):
-            total = Fraction(0)
-            row = self.rows[r]
-            if len(row) < len(v):
-                for c, a in row.items():
-                    if c in v:
-                        total += a * v[c]
-            else:
-                for c, x in v.items():
-                    if c in row:
-                        total += row[c] * x
-            if total:
-                out[r] = total
         return out
 
     def rank(self) -> int:

@@ -16,6 +16,7 @@ from .adjunction import AdjunctionSystem, GluingMap
 from .cells import CellComplex, CellSet, Orientation
 from .cochains import Cochain, GlobalCochain, assemble_global
 from .cohomology import CoreAssignment
+from .errors import PreconditionError
 
 
 def subdivide_complex(piece: CellComplex) -> CellComplex:
@@ -129,7 +130,10 @@ def subdivide_top_cochain(w: GlobalCochain, refined: AdjunctionSystem) -> Global
     """Transfer a top-degree cochain so that every integral is unchanged."""
     system = w.system
     top = system.pieces[0].top_dimension
-    assert w.degree == top
+    if w.degree != top:
+        raise PreconditionError(
+            f"subdivide_top_cochain: cochain degree {w.degree} is not the top dimension {top}"
+        )
     components = []
     for k, comp in enumerate(w.components):
         values: dict[str, Fraction] = {}

@@ -1,6 +1,6 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
-non-Hausdorff covers (hub-and-spoke paths, k-origin lines)."""
+non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs)."""
 
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ import pytest
 
 from nonhausdorff import fixtures as fixture_mod
 from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes
-from nonhausdorff.cells import CellComplex, CellSet, Orientation, closure
+from nonhausdorff.cells import CellComplex, CellSet, Orientation, closure, star
 from nonhausdorff.cochains import Cochain, GlobalCochain, assemble_global
 from nonhausdorff.cohomology import CoreAssignment
+from nonhausdorff.errors import NonHausdorffError
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -50,6 +51,14 @@ CORE_FIXTURES = [
 def built():
     """All fixture bundles, built once."""
     return {name: builder() for name, builder in fixture_mod.FIXTURE_BUILDERS.items()}
+
+
+def outcome(fn, *args):
+    """The value, or the library error's type and message."""
+    try:
+        return ("ok", fn(*args))
+    except NonHausdorffError as exc:
+        return ("error", type(exc).__name__, str(exc))
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -261,6 +270,21 @@ def k_origin_line(k: int) -> fixture_mod.Fixture:
         pieces, [f"L{i}" for i in range(k)], regions, maps, _plus_orientations(pieces)
     )
     return fixture_mod.Fixture(f"origins_{k}", system, CoreAssignment(cores))
+
+
+def torus_pair(n: int) -> fixture_mod.Fixture:
+    """Two ``torus_complex(n, n+1)`` pieces glued along the open annulus
+    around row 1 (the open star of its vertices); the core is that row's
+    circle."""
+    pieces = [fixture_mod.torus_complex(n, n + 1) for _ in range(2)]
+    row = [f"v{x},1" for x in range(n)]
+    region = star(CellSet.of(pieces[0], row))
+    closed = closure(region).members
+    regions = {(0, 1): set(region.members)}
+    maps = {(0, 1): ({c: c for c in region.members}, {c: c for c in closed})}
+    system = AdjunctionSystem.assemble(pieces, ["T1", "T2"], regions, maps, _plus_orientations(pieces))
+    core = CellSet.of(pieces[0], row + [f"h{x},1" for x in range(n)])
+    return fixture_mod.Fixture(f"tori_{n}", system, CoreAssignment({(0, 1): core}))
 
 
 def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) -> dict:

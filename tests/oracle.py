@@ -1,9 +1,14 @@
-"""Reference implementations that walk all 2^n - n - 1 piece tuples.
+"""Reference implementations kept as oracles for the differential tests.
 
-These are the tuple walks the library used before it enumerated the nerve of
-the cover.  They visit every normalized tuple, empty intersections included,
-and serve as the oracle for the differential tests in test_nerve.py.  The
-reference bicomplex shares only the matrix assembly with the library.
+The tuple walks visit all 2^n - n - 1 normalized piece tuples, empty
+intersections included, as the library did before it enumerated the nerve of
+the cover (test_nerve.py).  The reference bicomplex shares only the matrix
+assembly with the library.
+
+The fibre-product and Mayer-Vietoris references compute with explicit bases,
+as the library did before it reduced both to ranks (test_rank_cohomology.py):
+kernel bases from ``Mat.nullspace``, cohomology representatives picked by
+``independent_columns`` and coordinates from ``solve_columns``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,20 @@ from typing import Sequence
 from nonhausdorff.adjunction import AdjunctionSystem, normalized_tuples
 from nonhausdorff.cells import CellSet, closure, euler_characteristic, is_face_closed
 from nonhausdorff.cochains import GlobalCochain, domain_integral, piece_integral
-from nonhausdorff.cohomology import Bicomplex, CoreAssignment, Flavor, _assemble
+from nonhausdorff.cohomology import (
+    Bicomplex,
+    CoreAssignment,
+    Flavor,
+    FreeComplex,
+    MVReport,
+    MVRow,
+    _assemble,
+    betti,
+    build_bicomplex as library_bicomplex,
+    total_betti,
+)
 from nonhausdorff.errors import PreconditionError
+from nonhausdorff.linalg import Mat, Vec, independent_columns, solve_columns
 
 
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
@@ -123,3 +140,116 @@ def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | 
     for tup, core in resolve_cores(system, cores).items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
+
+
+# -- explicit-basis cohomology --------------------------------------------------
+
+
+def apply(mat: Mat, v: Vec) -> Vec:
+    """mat @ v for a sparse vector, zero entries left out."""
+    out: Vec = {}
+    for r, row in enumerate(mat.rows):
+        total = sum((a * v[c] for c, a in row.items() if c in v), Fraction(0))
+        if total:
+            out[r] = total
+    return out
+
+
+def global_complex_betti(system: AdjunctionSystem) -> list[int]:
+    """Betti numbers of the kernel of delta at column 0 of the pairs-only
+    CLOSED bicomplex: a basis of each kernel, and d written in those bases by
+    solving for the coordinates of each image."""
+    bicx = library_bicomplex(system, Flavor.CLOSED_INTERSECTION, max_tuple=2, check_preconditions=False)
+    max_q = bicx.max_q
+    kernels: list[list[Vec]] = []
+    for q in range(max_q + 1):
+        delta = bicx.horizontal.get((0, q))
+        if delta is None:
+            delta = Mat.zeros(0, bicx.dim(0, q))
+        kernels.append(delta.nullspace())
+    maps: list[Mat] = []
+    for q in range(max_q):
+        d = bicx.vertical[(0, q)]
+        mat = Mat.zeros(len(kernels[q + 1]), len(kernels[q]))
+        for col, vec in enumerate(kernels[q]):
+            coeffs = solve_columns(kernels[q + 1], bicx.dim(0, q + 1), apply(d, vec))
+            if coeffs is None:
+                raise AssertionError("d does not preserve the global cochain subspace")
+            for row, value in enumerate(coeffs):
+                if value:
+                    mat.add_to(row, col, value)
+        maps.append(mat)
+    return betti(FreeComplex([list(range(len(k))) for k in kernels], maps))
+
+
+def _cohomology_reps(dims: list[int], maps: list[Mat]) -> tuple[list[list[Vec]], list[list[Vec]]]:
+    """Per degree: (image basis of d_{q-1}, representatives of H^q)."""
+    images: list[list[Vec]] = []
+    reps: list[list[Vec]] = []
+    for q in range(len(dims)):
+        img_cols: list[Vec] = []
+        if q > 0:
+            cols: list[Vec] = [dict() for _ in range(maps[q - 1].ncols)]
+            for r, row in enumerate(maps[q - 1].rows):
+                for c, v in row.items():
+                    cols[c][r] = v
+            img_cols = [cols[j] for j in independent_columns(cols, dims[q])]
+        if q < len(maps):
+            kernel = maps[q].nullspace()
+        else:
+            kernel = [{k: Fraction(1)} for k in range(dims[q])]
+        candidates = img_cols + kernel
+        chosen = independent_columns(candidates, dims[q])
+        images.append(img_cols)
+        reps.append([candidates[j] for j in chosen if j >= len(img_cols)])
+    return images, reps
+
+
+def mv_report(
+    system: AdjunctionSystem, flavor: Flavor, cores: CoreAssignment | None = None
+) -> MVReport:
+    """The binary Mayer-Vietoris rows, with the rank of delta on cohomology
+    taken from the coordinates of delta(representative) in a basis of
+    image + representatives of the domain column."""
+    if system.n() != 2:
+        raise PreconditionError("mv_report: system is not binary")
+    bicx = library_bicomplex(system, flavor, cores)
+    max_q = bicx.max_q
+    h_total_all = total_betti(bicx)
+
+    dims_pieces = [bicx.dim(0, q) for q in range(max_q + 1)]
+    maps_pieces = [bicx.vertical[(0, q)] for q in range(max_q)]
+    dims_domain = [bicx.dim(1, q) for q in range(max_q + 1)]
+    maps_domain = [bicx.vertical[(1, q)] for q in range(max_q)]
+    betti_pieces = betti(FreeComplex([list(range(d)) for d in dims_pieces], maps_pieces))
+    betti_domain = betti(FreeComplex([list(range(d)) for d in dims_domain], maps_domain))
+    _, reps_p = _cohomology_reps(dims_pieces, maps_pieces)
+    img_d, reps_d = _cohomology_reps(dims_domain, maps_domain)
+
+    ranks: list[int] = []
+    for q in range(max_q + 1):
+        cols: list[Vec] = []
+        for rep in reps_p[q]:
+            image = apply(bicx.horizontal[(0, q)], rep)
+            coeffs = solve_columns(img_d[q] + reps_d[q], dims_domain[q], image)
+            if coeffs is None:
+                raise AssertionError("delta is not a chain map on cohomology")
+            cols.append({k: v for k, v in enumerate(coeffs[len(img_d[q]) :]) if v})
+        ranks.append(len(independent_columns(cols, len(reps_d[q]))))
+
+    rows: list[MVRow] = []
+    alternating = 0
+    for q in range(max_q + 1):
+        h_total = h_total_all[q] if q < len(h_total_all) else 0
+        kernel_dim = betti_pieces[q] - ranks[q]
+        coker_prev = (betti_domain[q - 1] - ranks[q - 1]) if q >= 1 else 0
+        rows.append(
+            MVRow(q, h_total, betti_pieces[q], betti_domain[q], ranks[q], kernel_dim, coker_prev, kernel_dim + coker_prev)
+        )
+        alternating += (-1) ** q * (h_total - betti_pieces[q] + betti_domain[q])
+    tail = len(h_total_all) - 1
+    if tail > max_q:
+        alternating += (-1) ** tail * h_total_all[tail]
+        last = betti_domain[max_q] - ranks[max_q]
+        rows.append(MVRow(tail, h_total_all[tail], 0, 0, 0, 0, last, last))
+    return MVReport(flavor, rows, alternating)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonhausdorff.linalg import Mat, independent_columns, solve_columns
+from oracle import apply
 
 
 def mat_from_rows(rows):
@@ -69,7 +70,7 @@ def test_rank_nullity(nrows, ncols, data):
             m.add_to(r, c, Fraction(v))
     assert m.rank() + len(m.nullspace()) == ncols
     for vec in m.nullspace():
-        assert m.apply(vec) == {}
+        assert apply(m, vec) == {}
 
 
 def test_matmul_agrees_with_apply():
@@ -77,6 +78,6 @@ def test_matmul_agrees_with_apply():
     b = mat_from_rows([[1, 0, 2], [0, 1, 1]])
     prod = a.matmul(b)
     for col, vec in enumerate(({0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)})):
-        direct = a.apply(b.apply(vec))
+        direct = apply(a, apply(b, vec))
         via = {r: prod.entry(r, col) for r in range(prod.nrows) if prod.entry(r, col)}
         assert direct == via

@@ -29,10 +29,10 @@ from nonhausdorff.cohomology import (
     resolve_cores,
     total_betti,
 )
-from nonhausdorff.errors import NonHausdorffError, PreconditionError
+from nonhausdorff.errors import PreconditionError
 from nonhausdorff.fixtures import FIXTURE_BUILDERS, closure_violation
 
-from conftest import hub_with_spokes, k_origin_line, random_global_cochain
+from conftest import hub_with_spokes, k_origin_line, outcome, random_global_cochain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,14 +41,6 @@ covers = st.one_of(
     st.builds(hub_with_spokes, st.integers(2, 6), st.integers(2, 4)),
     st.builds(k_origin_line, st.integers(2, 5)),
 )
-
-
-def outcome(fn, *args):
-    """The value, or the library error's type and message."""
-    try:
-        return ("ok", fn(*args))
-    except NonHausdorffError as exc:
-        return ("error", type(exc).__name__, str(exc))
 
 
 def members(cores: dict) -> dict:
@@ -128,34 +120,50 @@ def test_nonempty_core_on_an_empty_intersection_is_rejected():
 
 
 def test_cross_checks_raise_under_optimisation():
-    # asserts vanish under -O; the class-sum and angle-sum checks must not
+    # asserts vanish under -O; the class-sum and angle-sum checks and the
+    # checks on input (matrix shapes, cochain degree, orientation) must not
     code = textwrap.dedent(
         """
         from fractions import Fraction
+        from nonhausdorff.adjunction import AdjunctionSystem
         from nonhausdorff.cells import CellComplex
-        from nonhausdorff.cochains import Cochain, GlobalCochain, integrate
-        from nonhausdorff.errors import InvariantError
-        from nonhausdorff.fixtures import line_two_origins
+        from nonhausdorff.cochains import (
+            Cochain, GlobalCochain, boundary_signs, domain_integral, integrate,
+            piece_integral, zero_global,
+        )
+        from nonhausdorff.errors import PreconditionError
+        from nonhausdorff.fixtures import line_two_origins, path_complex
         from nonhausdorff.geometry import MetricComplex, corner_angles
+        from nonhausdorff.linalg import Mat
+        from nonhausdorff.refine import subdivide_system, subdivide_top_cochain
 
         system = line_two_origins().system
         parts = [
             Cochain.of(piece.whole_set(), 1, {"e1": Fraction(k + 1)})
             for k, piece in enumerate(system.pieces)
         ]
-        try:
-            integrate(GlobalCochain(system, 1, tuple(parts)))
-        except InvariantError as exc:
-            print(exc)
         tri = CellComplex.build(
             [("a", 0), ("b", 0), ("c", 0), ("x", 1), ("y", 1), ("z", 1), ("t", 2)],
             {"x": {"a": -1, "b": 1}, "y": {"b": -1, "c": 1}, "z": {"a": -1, "c": 1},
              "t": {"x": 1, "y": 1, "z": -1}},
         )
-        try:
-            corner_angles(MetricComplex(tri, {"x": -1.0, "y": 1.0, "z": 1.0}), "t")
-        except InvariantError as exc:
-            print(exc)
+        unoriented = AdjunctionSystem.assemble([path_complex()])
+        whole = unoriented.pieces[0].whole_set()
+        for call in (
+            lambda: integrate(GlobalCochain(system, 1, tuple(parts))),
+            lambda: corner_angles(MetricComplex(tri, {"x": -1.0, "y": 1.0, "z": 1.0}), "t"),
+            lambda: Mat(1, 1).matmul(Mat(3, 1)),
+            lambda: subdivide_top_cochain(zero_global(system, 0), subdivide_system(system)),
+            lambda: piece_integral(unoriented, 0, Cochain.of(whole, 1, {})),
+            lambda: domain_integral(unoriented, 0, whole, Cochain.of(whole, 1, {})),
+            lambda: boundary_signs(unoriented, 0, whole),
+        ):
+            try:
+                call()
+            except PreconditionError as exc:
+                print(type(exc).__name__, exc)
+            else:
+                print("no error")
         """
     )
     result = subprocess.run(
@@ -167,5 +175,12 @@ def test_cross_checks_raise_under_optimisation():
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "integrate: inclusion-exclusion 2 != class sum 1"
-    assert lines[1].startswith("corner angles of triangle 't' sum to ")
+    assert lines[0] == "InvariantError integrate: inclusion-exclusion 2 != class sum 1"
+    assert lines[1].startswith("InvariantError corner angles of triangle 't' sum to ")
+    assert lines[2:] == [
+        "PreconditionError matmul: a 1x1 matrix cannot multiply a 3x1 one",
+        "PreconditionError subdivide_top_cochain: cochain degree 0 is not the top dimension 1",
+        "PreconditionError piece_integral: system carries no orientation",
+        "PreconditionError domain_integral: system carries no orientation",
+        "PreconditionError boundary_signs: system carries no orientation",
+    ]
