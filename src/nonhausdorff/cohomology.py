@@ -9,9 +9,13 @@ Two bicomplex flavors are computed over the cover by the pieces:
   carry the homotopy type of the open intersections; its total complex is the
   singular-style cohomology.
 
-Both share one exact-rank engine (Gauss-Jordan over the rationals) and one
-Cech differential with the alternating-sign restriction convention whose
-binary block is (restriction) - (pullback along the closure extension).
+Both share one exact-rank engine, :meth:`linalg.Mat.rank`, and one Cech
+differential with the alternating-sign restriction convention whose binary
+block is (restriction) - (pullback along the closure extension).  Every
+matrix assembled here has entries +-1 (or their sums), stored as ``int``, so
+assembly, the d-d checks and the unit-pivot elimination behind the rank run
+on integers; a ``Fraction`` appears only if elimination meets a row without
+a +-1 entry.
 """
 
 from __future__ import annotations

@@ -1,27 +1,31 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the integers and the rationals.
 
-All cohomology in this package reduces to :meth:`Mat.rank`, computed by
-fraction-exact Gauss-Jordan elimination on sparse rows: Betti numbers,
+All cohomology in this package reduces to :meth:`Mat.rank`: Betti numbers,
 kernels of the Cech differential and ranks of induced maps on cohomology are
-all ranks of (stacked) matrices.  ``Mat.nullspace``, ``solve_columns`` and
-``independent_columns`` have no caller in the library; they remain because
-the test oracle builds its explicit-basis reference from them and the
-benchmark's tracer binds them by name.
+all ranks of (stacked) matrices.  Every matrix the library builds has ``int``
+entries, and the rank is taken by sparse forward elimination, sparsest row
+first on a +-1 pivot (Markowitz order, :func:`_rank`), which stays in ``int``
+arithmetic; a ``Fraction`` appears only for a row without a +-1 entry.
+``Mat.nullspace``, ``solve_columns`` and ``independent_columns`` have no
+caller in the library; they remain, with the Gauss-Jordan ``_eliminate``
+behind them, because the test oracle builds its explicit-basis reference
+from them and the benchmark's tracer binds them by name.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]
 
 
 @dataclass(eq=False)
 class Mat:
-    """Sparse rational matrix; ``rows[r][c]`` holds the nonzero entries."""
+    """Sparse exact matrix; ``rows[r][c]`` holds the nonzero entries."""
 
     nrows: int
     ncols: int
@@ -35,15 +39,15 @@ class Mat:
     def zeros(cls, nrows: int, ncols: int) -> "Mat":
         return cls(nrows, ncols)
 
-    def add_to(self, r: int, c: int, v: Fraction | int) -> None:
-        value = self.rows[r].get(c, Fraction(0)) + v
+    def add_to(self, r: int, c: int, v: int | Fraction) -> None:
+        value = self.rows[r].get(c, 0) + v
         if value:
-            self.rows[r][c] = Fraction(value)
+            self.rows[r][c] = value
         else:
             self.rows[r].pop(c, None)
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.rows[r].get(c, Fraction(0))
+    def entry(self, r: int, c: int) -> int | Fraction:
+        return self.rows[r].get(c, 0)
 
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)
@@ -66,7 +70,7 @@ class Mat:
         return out
 
     def rank(self) -> int:
-        return len(_eliminate(self.copy_rows())[0])
+        return _rank(self.rows)
 
     def nullspace(self) -> list[Vec]:
         """Basis of ``{x : self @ x = 0}``, one vector per free column."""
@@ -85,8 +89,63 @@ class Mat:
         return basis
 
 
+def _rank(rows: list[Vec]) -> int:
+    """Rank by sparse forward elimination on copies of ``rows``.
+
+    No back substitution and no row normalisation.  The sparsest live row is
+    taken from a lazy heap keyed by current length; its pivot is, among its
+    +-1 entries (all its entries when it has none), the one whose column has
+    the fewest other live rows.  Every live row holding that column, found
+    through a column -> rows index, is cleared there, and the pivot row is
+    retired.  The factor is ``a * pivot`` for a unit pivot and
+    ``Fraction(a, pivot)`` otherwise: ``a / pivot`` would be a float for
+    ``int`` entries and lose exactness.
+    """
+    live: dict[int, Vec] = {r: dict(row) for r, row in enumerate(rows) if row}
+    by_col: dict[int, set[int]] = {}
+    for r, row in live.items():
+        for c in row:
+            by_col.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in live.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, r = heapq.heappop(heap)
+        row = live.get(r)
+        if row is None or len(row) != length:
+            continue  # a stale key: the row was retired or has changed since
+        del live[r]
+        for c in row:
+            by_col[c].discard(r)
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        col = min(units or row, key=lambda c: len(by_col[c]))
+        pivot = row[col]
+        rank += 1
+        for o in by_col.pop(col):
+            other = live[o]
+            factor = other[col] * pivot if units else Fraction(other[col], pivot)
+            for c, v in row.items():
+                value = other.get(c, 0) - factor * v
+                if value:
+                    if c not in other:
+                        by_col[c].add(o)
+                    other[c] = value
+                else:
+                    del other[c]
+                    if c != col:
+                        by_col[c].discard(o)
+            if other:
+                heapq.heappush(heap, (len(other), o))
+            else:
+                del live[o]
+    return rank
+
+
 def _eliminate(rows: list[Vec]) -> tuple[list[tuple[int, int]], list[Vec]]:
-    """Gauss-Jordan: returns (pivots as (row, col) pairs, reduced rows)."""
+    """Gauss-Jordan: returns (pivots as (row, col) pairs, reduced rows).
+
+    Serves only ``Mat.nullspace``, ``solve_columns`` and ``independent_columns``.
+    """
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
     # visit columns in the order they appear; deterministic ascending scan

@@ -9,6 +9,10 @@ The fibre-product and Mayer-Vietoris references compute with explicit bases,
 as the library did before it reduced both to ranks (test_rank_cohomology.py):
 kernel bases from ``Mat.nullspace``, cohomology representatives picked by
 ``independent_columns`` and coordinates from ``solve_columns``.
+
+The rank reference is Gauss-Jordan elimination over ``Fraction`` entries, as
+``Mat.rank`` computed it before it moved to sparse forward elimination with
+unit pivots on ``int`` entries (test_linalg.py).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from nonhausdorff import linalg
 from nonhausdorff.adjunction import AdjunctionSystem, normalized_tuples
 from nonhausdorff.cells import CellSet, closure, euler_characteristic, is_face_closed
 from nonhausdorff.cochains import GlobalCochain, domain_integral, piece_integral
@@ -140,6 +145,14 @@ def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | 
     for tup, core in resolve_cores(system, cores).items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
+
+
+# -- exact rank ---------------------------------------------------------------
+
+
+def gauss_jordan_rank(mat: Mat) -> int:
+    """Rank of ``mat`` by Gauss-Jordan elimination on ``Fraction`` copies of its rows."""
+    return len(linalg._eliminate([{c: Fraction(v) for c, v in row.items()} for row in mat.rows])[0])
 
 
 # -- explicit-basis cohomology --------------------------------------------------

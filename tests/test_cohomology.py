@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nonhausdorff import refine
 from nonhausdorff.adjunction import AdjunctionSystem, quotient_complex
 from nonhausdorff.cohomology import (
     Flavor,
@@ -17,12 +18,15 @@ from nonhausdorff.cohomology import (
 )
 from nonhausdorff.errors import PreconditionError
 from nonhausdorff.fixtures import (
+    FIXTURE_BUILDERS,
+    Fixture,
     cycle_complex,
+    glued_icosahedra,
     icosahedron_complex,
 )
 from nonhausdorff.cells import CellComplex
 
-from conftest import CORE_FIXTURES, GOOD_FIXTURES, random_clopen_system
+from conftest import CORE_FIXTURES, GOOD_FIXTURES, random_clopen_system, torus_pair
 from oracle import apply
 
 
@@ -364,3 +368,43 @@ def test_open_flavor_matches_independent_homotopy_models(built):
             total_betti(build_bicomplex(fx.system, Flavor.OPEN_CORE, fx.cores))
         )
         assert got == trim_trailing_zeros(want), name
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_assembled_matrices_hold_int_entries(built, name):
+    """Every matrix the library assembles is integer; a Fraction wrap in
+    assembly would make every rank pay for rational arithmetic."""
+    fx = built[name]
+    for flavor in Flavor:
+        try:
+            bicx = build_bicomplex(fx.system, flavor, fx.cores, check_preconditions=False)
+        except PreconditionError:
+            # two_squares declares no core for its open, not face-closed intersection
+            assert (name, flavor) == ("two_squares", Flavor.OPEN_CORE)
+            continue
+        mats = [*bicx.vertical.values(), *bicx.horizontal.values(), *bicx.total_complex().maps]
+        types = {type(v) for m in mats for row in m.rows for v in row.values()}
+        assert types <= {int}, (flavor, types)
+
+
+def _subdivided_icosahedra(rounds: int) -> Fixture:
+    fx = glued_icosahedra()
+    system, cores = fx.system, fx.cores
+    for _ in range(rounds):
+        refined = refine.subdivide_system(system)
+        system, cores = refined, refine.subdivide_cores(system, cores, refined)
+    return Fixture(f"icosahedra_r{rounds}", system, cores)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [(lambda: torus_pair(16), [1, 3, 2]), (lambda: _subdivided_icosahedra(3), [1, 0, 2])],
+    ids=["torus_pair_16", "icosahedra_subdivided_3"],
+)
+def test_betti_numbers_at_scale(build, expected):
+    fx = build()
+    for flavor in Flavor:
+        assert trim_trailing_zeros(total_betti(build_bicomplex(fx.system, flavor, fx.cores))) == expected
+    report = mv_report(fx.system, Flavor.CLOSED_INTERSECTION, fx.cores)
+    assert report.exact
+    assert trim_trailing_zeros([row.h_total for row in report.rows]) == expected

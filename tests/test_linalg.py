@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonhausdorff.linalg import Mat, independent_columns, solve_columns
-from oracle import apply
+from oracle import apply, gauss_jordan_rank
 
 
 def mat_from_rows(rows):
@@ -81,3 +81,58 @@ def test_matmul_agrees_with_apply():
         direct = apply(a, apply(b, vec))
         via = {r: prod.entry(r, col) for r in range(prod.nrows) if prod.entry(r, col)}
         assert direct == via
+
+
+UNITS = st.sampled_from([1, -1])
+NON_UNITS = st.sampled_from([2, -2, 3, -3, 5, 7])
+FRACTIONS = st.fractions(-5, 5, max_denominator=4).filter(bool)
+ENTRY_KINDS = {
+    "units": UNITS,
+    "ints": st.one_of(UNITS, NON_UNITS),
+    "non-units": NON_UNITS,
+    "fractions": FRACTIONS,
+    "mixed": st.one_of(UNITS, NON_UNITS, FRACTIONS),
+}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse matrices with 0-7 rows and columns and the entries of one kind;
+    rows may be empty, repeat an earlier row or add up two earlier ones."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    values = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    rows: list[dict] = []
+    for _ in range(nrows):
+        how = draw(st.sampled_from(["fresh", "fresh", "repeat", "sum"])) if rows else "fresh"
+        if how == "repeat":
+            row = dict(draw(st.sampled_from(rows)))
+        elif how == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()}
+            row = {c: v for c, v in row.items() if v}
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else set()
+            row = {c: draw(values) for c in sorted(cols)}
+        rows.append(row)
+    return Mat(nrows, ncols, rows)
+
+
+# rows without a unit entry: the elimination needs its exact Fraction factor
+@example(Mat(3, 2, [{0: 5, 1: 2}, {0: 3, 1: -2}, {0: -2, 1: 3}]))
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_gauss_jordan(m):
+    before = m.copy_rows()
+    assert m.rank() == gauss_jordan_rank(m)
+    assert m.rows == before
+
+
+def test_add_to_keeps_int_entries_and_drops_zeros():
+    m = Mat.zeros(1, 2)
+    m.add_to(0, 0, 2)
+    m.add_to(0, 0, -3)
+    m.add_to(0, 1, 1)
+    m.add_to(0, 1, -1)
+    assert m.rows == [{0: -1}]
+    assert type(m.entry(0, 0)) is int and type(m.entry(0, 1)) is int
