@@ -261,20 +261,22 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
     for idx, piece in enumerate(system.pieces):
         report.merge(validate_complex(piece), prefix=f"piece {system.names[idx]}/")
 
-    for (i, j) in system.ordered_pairs():
+    pairs = system.ordered_pairs()
+    star_closed = {pair: is_star_closed(system.region(*pair)) for pair in pairs}
+    closures = {pair: closure(system.region(*pair)).members for pair in pairs}
+    for (i, j) in pairs:
         loc = f"region({system.names[i]},{system.names[j]})"
-        region = system.region(i, j)
-        if not is_star_closed(region):
+        if not star_closed[(i, j)]:
             report.add("region-open", loc, "gluing region is not star-closed (not open)")
         gm = system.gluing(i, j)
         if gm is None:
-            if region.members:
+            if system.region(i, j).members:
                 report.add("map-missing", loc, "nonempty region has no gluing map")
             continue
-        _validate_gluing_map(system, i, j, gm, report)
+        _validate_gluing_map(system, i, j, gm, report, star_closed, closures)
 
     # A2: opposite directions are mutually inverse
-    for (i, j) in system.ordered_pairs():
+    for (i, j) in pairs:
         if i > j:
             continue
         gm = system.gluing(i, j)
@@ -302,93 +304,91 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
                     validate_orientation(system.pieces[idx], orient),
                     prefix=f"piece {system.names[idx]}/",
                 )
-            for (i, j) in system.ordered_pairs():
+            for (i, j) in pairs:
                 gm = system.gluing(i, j)
                 if gm is None:
                     continue
-                top = system.pieces[i].top_dimension
-                for cell in sorted(gm.forward):
-                    if system.pieces[i].dims.get(cell) != top:
-                        continue
-                    image = gm.forward[cell]
-                    left = system.orientations[i].signs.get(cell)
-                    right = system.orientations[j].signs.get(image)
-                    if left is not None and right is not None and left != right:
-                        report.add(
-                            "orientation-preserving",
-                            f"map({system.names[i]},{system.names[j]}):{cell}",
-                            "gluing map reverses orientation",
-                        )
+                dims, top = system.pieces[i].dims, system.pieces[i].top_dimension
+                left, right = system.orientations[i].signs, system.orientations[j].signs
+                flipped = []
+                for cell, image in gm.forward.items():
+                    if dims.get(cell) == top:
+                        a, b = left.get(cell), right.get(image)
+                        if a is not None and b is not None and a != b:
+                            flipped.append(cell)
+                for cell in sorted(flipped):
+                    report.add(
+                        "orientation-preserving",
+                        f"map({system.names[i]},{system.names[j]}):{cell}",
+                        "gluing map reverses orientation",
+                    )
     return report
 
 
 def _validate_gluing_map(
-    system: AdjunctionSystem, i: int, j: int, gm: GluingMap, report: ValidationReport
+    system: AdjunctionSystem, i: int, j: int, gm: GluingMap, report: ValidationReport,
+    star_closed: Mapping[tuple[int, int], bool], closures: Mapping[tuple[int, int], frozenset[str]],
 ) -> None:
+    """Check one map; ``star_closed`` and ``closures`` hold the openness and
+    the closure of every declared region (an undeclared region is empty)."""
     pi, pj = system.pieces[i], system.pieces[j]
     loc = f"map({system.names[i]},{system.names[j]})"
-    region = system.region(i, j)
-    if gm.source.members != region.members:
+    members = system.region(i, j).members
+    forward, extension = gm.forward, gm.closure_forward
+    if gm.source.members != members:
         report.add("map-domain", loc, "map source differs from the declared region")
-    if set(gm.forward) != set(region.members):
+    if forward.keys() != members:
         report.add("bijection", loc, "map is not defined on exactly the region")
-    values = list(gm.forward.values())
-    if len(set(values)) != len(values):
+    image = set(forward.values())
+    if len(image) != len(forward):
         report.add("bijection", loc, "map is not injective")
-    if set(values) != set(gm.target.members):
+    if image != gm.target.members:
         report.add("bijection", loc, "map image differs from the target region")
 
-    src_closure = closure(region)
-    tgt_closure = closure(system.region(j, i))
-    if set(gm.closure_forward) != set(src_closure.members):
-        missing = sorted(set(src_closure.members) - set(gm.closure_forward))
+    src_closure = closures.get((i, j), frozenset())
+    tgt_closure = closures.get((j, i), frozenset())
+    extends = extension.keys() == src_closure
+    if not extends:
+        missing = sorted(src_closure - extension.keys())
         if missing:
-            report.add(
-                "closure-extension",
-                loc,
-                f"extension missing on closure cells {missing[:5]}",
-            )
-        extra = sorted(set(gm.closure_forward) - set(src_closure.members))
+            report.add("closure-extension", loc, f"extension missing on closure cells {missing[:5]}")
+        extra = sorted(extension.keys() - src_closure)
         if extra:
             report.add("closure-extension", loc, f"extension defined off the closure: {extra[:5]}")
-    cl_values = list(gm.closure_forward.values())
-    if len(set(cl_values)) != len(cl_values):
+    cl_image = set(extension.values())
+    if len(cl_image) != len(extension):
         report.add("closure-extension", loc, "closure extension is not injective")
-    elif set(gm.closure_forward) == set(src_closure.members) and set(cl_values) != set(
-        tgt_closure.members
-    ):
+    elif extends and cl_image != tgt_closure:
         report.add("closure-extension", loc, "closure extension is not onto the target closure")
-    for cell in sorted(gm.forward):
-        if gm.closure_forward.get(cell) != gm.forward[cell]:
-            report.add("closure-extension", f"{loc}:{cell}", "extension disagrees with the map")
-            break
+    disagree = [cell for cell, value in forward.items() if extension.get(cell) != value]
+    if disagree:
+        report.add("closure-extension", f"{loc}:{min(disagree)}", "extension disagrees with the map")
     # frontier goes to frontier
-    if is_star_closed(region) and is_star_closed(system.region(j, i)):
-        front_src = frontier(region).members
-        front_tgt = frontier(system.region(j, i)).members
-        mapped = {gm.closure_forward[c] for c in front_src if c in gm.closure_forward}
-        if mapped != front_tgt and set(gm.closure_forward) == set(src_closure.members):
+    if extends and star_closed.get((i, j), True) and star_closed.get((j, i), True):
+        mapped = {extension[c] for c in src_closure - members if c in extension}
+        if mapped != tgt_closure - system.region(j, i).members:
             report.add("frontier-bijection", loc, "frontier does not map onto the opposite frontier")
 
-    # dimension and incidence-sign preservation on the whole closure
-    for cell in sorted(gm.closure_forward):
-        image = gm.closure_forward[cell]
-        if cell not in pi.dims or image not in pj.dims:
-            report.add("bijection", f"{loc}:{cell}", "map references unknown cells")
-            continue
-        if pi.dims[cell] != pj.dims[image]:
-            report.add("dimension-preserving", f"{loc}:{cell}", "image has different dimension")
-            continue
-        for face, sign in pi.faces_of(cell).items():
-            if face not in gm.closure_forward:
-                continue
-            want = pj.faces_of(image).get(gm.closure_forward[face])
-            if want != sign:
-                report.add(
-                    "incidence-preserving",
-                    f"{loc}:{cell}->{face}",
-                    f"incidence sign {sign} maps to {want}",
-                )
+    # dimension and incidence-sign preservation on the whole closure, in cell
+    # order; the sort is stable, so one cell's issues keep their face order
+    empty: dict[str, int] = {}
+    found: list[tuple[str, str, str, str]] = []
+    for cell, target in extension.items():
+        if cell not in pi.dims or target not in pj.dims:
+            found.append((cell, "bijection", f"{loc}:{cell}", "map references unknown cells"))
+        elif pi.dims[cell] != pj.dims[target]:
+            found.append((cell, "dimension-preserving", f"{loc}:{cell}", "image has different dimension"))
+        else:
+            target_row = pj.faces.get(target, empty)
+            for face, sign in pi.faces.get(cell, empty).items():
+                if face in extension:
+                    want = target_row.get(extension[face])
+                    if want != sign:
+                        message = f"incidence sign {sign} maps to {want}"
+                        found.append((cell, "incidence-preserving", f"{loc}:{cell}->{face}", message))
+    found.sort(key=lambda issue: issue[0])
+    for _, rule, location, message in found:
+        report.add(rule, location, message)
 
 
 def _validate_cocycles(system: AdjunctionSystem, report: ValidationReport) -> None:

@@ -115,42 +115,39 @@ class Orientation:
 def validate_complex(c: CellComplex) -> ValidationReport:
     """Check the complex invariants; every violation becomes a report entry."""
     report = ValidationReport()
-    for cell, dim in c.dims.items():
+    dims, faces = c.dims, c.faces
+    for cell, dim in dims.items():
         if dim < 0:
             report.add("cell-dimension", cell, f"negative dimension {dim}")
-    for cell, fs in c.faces.items():
-        if cell not in c.dims:
+    for cell, fs in faces.items():
+        if cell not in dims:
             report.add("dangling-cell", cell, "incidence row for unknown cell")
             continue
+        want = dims[cell] - 1
         for face, sign in fs.items():
-            if face not in c.dims:
+            if face not in dims:
                 report.add("dangling-face", f"{cell}->{face}", "face id does not exist")
                 continue
-            if c.dims[face] != c.dims[cell] - 1:
-                report.add(
-                    "codimension",
-                    f"{cell}->{face}",
-                    f"face has dimension {c.dims[face]}, expected {c.dims[cell] - 1}",
-                )
+            if dims[face] != want:
+                report.add("codimension", f"{cell}->{face}", f"face has dimension {dims[face]}, expected {want}")
             if sign not in (1, -1):
                 report.add("incidence-sign", f"{cell}->{face}", f"sign {sign} not in {{+1,-1}}")
     # boundary-of-boundary vanishes
-    for cell in c.dims:
+    for cell in dims:
+        row = faces.get(cell)
+        if not row:
+            continue
         acc: dict[str, int] = {}
-        for face, s1 in c.faces_of(cell).items():
-            if face not in c.dims:
-                continue
-            for sub, s2 in c.faces_of(face).items():
-                if sub not in c.dims:
-                    continue
-                acc[sub] = acc.get(sub, 0) + s1 * s2
-        for sub, total in sorted(acc.items()):
-            if total != 0:
-                report.add(
-                    "boundary-squared",
-                    f"{cell}->{sub}",
-                    f"composite boundary coefficient {total} != 0",
-                )
+        for face, s1 in row.items():
+            sub_row = faces.get(face)
+            if sub_row and face in dims:
+                for sub, s2 in sub_row.items():
+                    if sub in dims:
+                        acc[sub] = acc.get(sub, 0) + s1 * s2
+        if acc:
+            bad = [(sub, total) for sub, total in acc.items() if total != 0]
+            for sub, total in sorted(bad):
+                report.add("boundary-squared", f"{cell}->{sub}", f"composite boundary coefficient {total} != 0")
     return report
 
 
@@ -257,27 +254,23 @@ def connected_components(s: CellSet) -> int:
 def validate_orientation(c: CellComplex, orientation: Orientation) -> ValidationReport:
     """Adjacent top cells must induce opposite signs on each shared face."""
     report = ValidationReport()
-    top = c.top_dimension
-    for cell in c.cells_of_dim(top):
-        if cell not in orientation.signs:
+    dims, signs, top = c.dims, orientation.signs, c.top_dimension
+    unsigned = [cell for cell, dim in dims.items() if dim == top and signs.get(cell) not in (1, -1)]
+    for cell in sorted(unsigned):
+        if cell not in signs:
             report.add("orientation-missing", cell, "top cell has no sign")
-        elif orientation.signs[cell] not in (1, -1):
+        else:
             report.add("orientation-sign", cell, "sign must be +1 or -1")
-    for face in c.cells_of_dim(top - 1) if top >= 1 else []:
-        carriers = [
-            (t, sign) for t, sign in sorted(c.cofaces_of(face).items()) if c.dims.get(t) == top
-        ]
+    incoherent = []
+    for face, dim in dims.items() if top >= 1 else ():
+        if dim != top - 1:
+            continue
+        carriers = [(t, sign) for t, sign in c.cofaces[face].items() if dims.get(t) == top]
         if len(carriers) != 2:
             continue
         (t1, s1), (t2, s2) = carriers
-        if t1 not in orientation.signs or t2 not in orientation.signs:
-            continue
-        induced1 = orientation.signs[t1] * s1
-        induced2 = orientation.signs[t2] * s2
-        if induced1 + induced2 != 0:
-            report.add(
-                "orientation-incoherent",
-                face,
-                f"top cells {t1} and {t2} induce equal signs on shared face",
-            )
+        if t1 in signs and t2 in signs and signs[t1] * s1 + signs[t2] * s2 != 0:
+            incoherent.append((face, *sorted((t1, t2))))
+    for face, t1, t2 in sorted(incoherent):
+        report.add("orientation-incoherent", face, f"top cells {t1} and {t2} induce equal signs on shared face")
     return report

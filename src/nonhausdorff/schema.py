@@ -5,13 +5,19 @@ like "1.5", so no value is ever round-tripped through binary floating point
 parsing ambiguity on the rational side.  Parse errors name the offending
 field; structural validity of the parsed system is a separate concern
 (validate_system / validate_complex).
+
+Parsing is one pass over the document.  Inside the loops over entries
+(cells, faces, pairs, signs, lengths, cochain values) each check is an
+inline test, and the field name and message are formatted only when it
+fails.  Each piece's complex is built from the dicts the pass makes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, NoReturn
 
 from .adjunction import AdjunctionSystem
 from .cells import CellComplex, CellSet, Orientation
@@ -31,19 +37,52 @@ class LoadedSystem:
     metrics: list[MetricComplex] | None
 
 
+def _fail(field: str, message: str) -> NoReturn:
+    raise SchemaError(f"{field}: {message}")
+
+
 def _expect(condition: bool, field: str, message: str) -> None:
     if not condition:
-        raise SchemaError(f"{field}: {message}")
+        _fail(field, message)
 
 
 def _as_map(doc: Any, field: str) -> Mapping[str, Any]:
-    _expect(isinstance(doc, Mapping), field, "expected an object")
+    # ``type(doc) is dict`` first: ``isinstance`` against an ABC is slow
+    _expect(type(doc) is dict or isinstance(doc, Mapping), field, "expected an object")
     return doc
 
 
 def _as_list(doc: Any, field: str) -> list:
     _expect(isinstance(doc, list), field, "expected a list")
     return doc
+
+
+def _parse_cells(cells_doc: list, k: int) -> CellComplex:
+    """The complex of ``pieces[k]``, built from the dicts made here."""
+    dims: dict[str, int] = {}
+    faces: dict[str, dict[str, int]] = {}
+    for c_idx, cd in enumerate(cells_doc):
+        if type(cd) is not dict and not isinstance(cd, Mapping):
+            _fail(f"pieces[{k}].cells[{c_idx}]", "expected an object")
+        cid = cd.get("id")
+        if not isinstance(cid, str) or not cid:
+            _fail(f"pieces[{k}].cells[{c_idx}].id", "expected a nonempty string")
+        if cid in dims:
+            _fail(f"pieces[{k}].cells[{c_idx}].id", f"duplicate cell id {cid!r}")
+        dim = cd.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            _fail(f"pieces[{k}].cells[{c_idx}].dim", "expected a non-negative integer")
+        dims[cid] = dim
+        fmap = cd.get("faces", {})
+        if type(fmap) is not dict and not isinstance(fmap, Mapping):
+            _fail(f"pieces[{k}].cells[{c_idx}].faces", "expected an object")
+        for fid, sign in fmap.items():
+            if not isinstance(fid, str):
+                _fail(f"pieces[{k}].cells[{c_idx}].faces", "face ids must be strings")
+            if sign not in (1, -1):
+                _fail(f"pieces[{k}].cells[{c_idx}].faces[{fid}]", "sign must be +1 or -1")
+        faces[cid] = dict(fmap)
+    return CellComplex(dims=dims, faces=faces, top_dimension=max(dims.values(), default=0))
 
 
 def parse_document(doc: Any) -> LoadedSystem:
@@ -56,47 +95,48 @@ def parse_document(doc: Any) -> LoadedSystem:
     pieces_doc = _as_list(root.get("pieces"), "pieces")
     _expect(len(pieces_doc) >= 1, "pieces", "need at least one piece")
     names: list[str] = []
+    index: dict[str, int] = {}
     pieces: list[CellComplex] = []
     for k, piece_doc in enumerate(pieces_doc):
         pd = _as_map(piece_doc, f"pieces[{k}]")
         pname = pd.get("name")
         _expect(isinstance(pname, str) and pname, f"pieces[{k}].name", "expected a nonempty string")
-        _expect(pname not in names, f"pieces[{k}].name", f"duplicate piece name {pname!r}")
+        _expect(pname not in index, f"pieces[{k}].name", f"duplicate piece name {pname!r}")
+        index[pname] = k
         names.append(pname)
-        cells_doc = _as_list(pd.get("cells"), f"pieces[{k}].cells")
-        cells: list[tuple[str, int]] = []
-        incidence: dict[str, dict[str, int]] = {}
-        seen: set[str] = set()
-        for c_idx, cell_doc in enumerate(cells_doc):
-            cd = _as_map(cell_doc, f"pieces[{k}].cells[{c_idx}]")
-            cid = cd.get("id")
-            _expect(isinstance(cid, str) and cid, f"pieces[{k}].cells[{c_idx}].id", "expected a nonempty string")
-            _expect(cid not in seen, f"pieces[{k}].cells[{c_idx}].id", f"duplicate cell id {cid!r}")
-            seen.add(cid)
-            dim = cd.get("dim")
-            _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
-                    f"pieces[{k}].cells[{c_idx}].dim", "expected a non-negative integer")
-            cells.append((cid, dim))
-            faces = cd.get("faces", {})
-            fmap = _as_map(faces, f"pieces[{k}].cells[{c_idx}].faces")
-            row: dict[str, int] = {}
-            for fid, sign in fmap.items():
-                _expect(isinstance(fid, str), f"pieces[{k}].cells[{c_idx}].faces", "face ids must be strings")
-                _expect(sign in (1, -1), f"pieces[{k}].cells[{c_idx}].faces[{fid}]", "sign must be +1 or -1")
-                row[fid] = sign
-            if row:
-                incidence[cid] = row
-        pieces.append(CellComplex.build(cells, incidence))
+        pieces.append(_parse_cells(_as_list(pd.get("cells"), f"pieces[{k}].cells"), k))
 
     def piece_index(label: Any, field: str) -> int:
         _expect(isinstance(label, str), field, "expected a piece name")
-        _expect(label in names, field, f"unknown piece {label!r}")
-        return names.index(label)
+        _expect(label in index, field, f"unknown piece {label!r}")
+        return index[label]
 
-    def known_cell(i: int, cid: Any, field: str) -> str:
-        _expect(isinstance(cid, str), field, "expected a cell id")
-        _expect(cid in pieces[i].dims, field, f"unknown cell {cid!r} in piece {names[i]!r}")
-        return cid
+    def unknown_cell(i: int, cid: Any) -> str:
+        """The complaint about ``cid``, which is not a cell id of piece i."""
+        return f"unknown cell {cid!r} in piece {names[i]!r}" if isinstance(cid, str) else "expected a cell id"
+
+    def known_cells(i: int, cells: list, field: str) -> list:
+        dims = pieces[i].dims
+        for cid in cells:
+            if not isinstance(cid, str) or cid not in dims:
+                _fail(field, unknown_cell(i, cid))
+        return cells
+
+    def cell_pairs(field: str, pairs_doc: Any, i: int, j: int, unique: bool) -> dict[str, str]:
+        src_dims, dst_dims = pieces[i].dims, pieces[j].dims
+        out: dict[str, str] = {}
+        for p_idx, pair in enumerate(_as_list(pairs_doc, field)):
+            if not isinstance(pair, list) or len(pair) != 2:
+                _fail(f"{field}[{p_idx}]", "expected [src, dst]")
+            src, dst = pair
+            if not isinstance(src, str) or src not in src_dims:
+                _fail(f"{field}[{p_idx}][0]", unknown_cell(i, src))
+            if not isinstance(dst, str) or dst not in dst_dims:
+                _fail(f"{field}[{p_idx}][1]", unknown_cell(j, dst))
+            if unique and src in out:
+                _fail(f"{field}[{p_idx}]", f"duplicate source cell {src!r}")
+            out[src] = dst
+        return out
 
     regions: dict[tuple[int, int], list[str]] = {}
     for r_idx, region_doc in enumerate(_as_list(root.get("regions", []), "regions")):
@@ -106,7 +146,7 @@ def parse_document(doc: Any) -> LoadedSystem:
         _expect(i != j, f"regions[{r_idx}]", "self-gluing regions are implicit (A1)")
         _expect((i, j) not in regions, f"regions[{r_idx}]", "duplicate region entry")
         cells_list = _as_list(rd.get("cells"), f"regions[{r_idx}].cells")
-        regions[(i, j)] = [known_cell(i, c, f"regions[{r_idx}].cells") for c in cells_list]
+        regions[(i, j)] = known_cells(i, cells_list, f"regions[{r_idx}].cells")
 
     maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str] | None]] = {}
     for m_idx, map_doc in enumerate(_as_list(root.get("maps", []), "maps")):
@@ -115,22 +155,10 @@ def parse_document(doc: Any) -> LoadedSystem:
         j = piece_index(md.get("j"), f"maps[{m_idx}].j")
         _expect(i != j, f"maps[{m_idx}]", "self-gluing maps are implicit (A1)")
         _expect((i, j) not in maps, f"maps[{m_idx}]", "duplicate map entry")
-        pairs: dict[str, str] = {}
-        for p_idx, pair in enumerate(_as_list(md.get("pairs"), f"maps[{m_idx}].pairs")):
-            _expect(isinstance(pair, list) and len(pair) == 2, f"maps[{m_idx}].pairs[{p_idx}]", "expected [src, dst]")
-            src = known_cell(i, pair[0], f"maps[{m_idx}].pairs[{p_idx}][0]")
-            dst = known_cell(j, pair[1], f"maps[{m_idx}].pairs[{p_idx}][1]")
-            _expect(src not in pairs, f"maps[{m_idx}].pairs[{p_idx}]", f"duplicate source cell {src!r}")
-            pairs[src] = dst
-        closure_pairs: dict[str, str] | None = None
+        pairs = cell_pairs(f"maps[{m_idx}].pairs", md.get("pairs"), i, j, unique=True)
+        closure_pairs = None
         if "closure_pairs" in md:
-            closure_pairs = {}
-            for p_idx, pair in enumerate(_as_list(md["closure_pairs"], f"maps[{m_idx}].closure_pairs")):
-                _expect(isinstance(pair, list) and len(pair) == 2,
-                        f"maps[{m_idx}].closure_pairs[{p_idx}]", "expected [src, dst]")
-                src = known_cell(i, pair[0], f"maps[{m_idx}].closure_pairs[{p_idx}][0]")
-                dst = known_cell(j, pair[1], f"maps[{m_idx}].closure_pairs[{p_idx}][1]")
-                closure_pairs[src] = dst
+            closure_pairs = cell_pairs(f"maps[{m_idx}].closure_pairs", md["closure_pairs"], i, j, unique=False)
         maps[(i, j)] = (pairs, closure_pairs)
 
     orientations = None
@@ -140,12 +168,13 @@ def parse_document(doc: Any) -> LoadedSystem:
         for k, pname in enumerate(names):
             _expect(pname in odoc, "orientations", f"missing orientation for piece {pname!r}")
             signs_doc = _as_map(odoc[pname], f"orientations[{pname}]")
-            signs: dict[str, int] = {}
+            dims = pieces[k].dims
             for cid, sign in signs_doc.items():
-                known_cell(k, cid, f"orientations[{pname}]")
-                _expect(sign in (1, -1), f"orientations[{pname}][{cid}]", "sign must be +1 or -1")
-                signs[cid] = sign
-            orientations.append(Orientation(signs))
+                if not isinstance(cid, str) or cid not in dims:
+                    _fail(f"orientations[{pname}]", unknown_cell(k, cid))
+                if sign not in (1, -1):
+                    _fail(f"orientations[{pname}][{cid}]", "sign must be +1 or -1")
+            orientations.append(Orientation(dict(signs_doc)))
 
     system = AdjunctionSystem.assemble(pieces, names, regions, maps, orientations)
 
@@ -161,8 +190,7 @@ def parse_document(doc: Any) -> LoadedSystem:
                     f"cores[{c_idx}].pieces", "pieces must be distinct and in document order")
             ref = tup[0]
             cell_list = _as_list(cd.get("cells"), f"cores[{c_idx}].cells")
-            members = [known_cell(ref, c, f"cores[{c_idx}].cells") for c in cell_list]
-            assignments[tup] = CellSet.of(pieces[ref], members)
+            assignments[tup] = CellSet.of(pieces[ref], known_cells(ref, cell_list, f"cores[{c_idx}].cells"))
         cores = CoreAssignment(assignments)
 
     metrics = None
@@ -172,16 +200,17 @@ def parse_document(doc: Any) -> LoadedSystem:
         for k, pname in enumerate(names):
             _expect(pname in ldoc, "edge_lengths", f"missing lengths for piece {pname!r}")
             entries = _as_map(ldoc[pname], f"edge_lengths[{pname}]")
+            dims = pieces[k].dims
             lengths: dict[str, float] = {}
             for cid, text in entries.items():
-                known_cell(k, cid, f"edge_lengths[{pname}]")
-                _expect(isinstance(text, str), f"edge_lengths[{pname}][{cid}]",
-                        "lengths are decimal strings")
+                if not isinstance(cid, str) or cid not in dims:
+                    _fail(f"edge_lengths[{pname}]", unknown_cell(k, cid))
+                if not isinstance(text, str):
+                    _fail(f"edge_lengths[{pname}][{cid}]", "lengths are decimal strings")
                 try:
-                    value = float(text)
+                    lengths[cid] = float(text)
                 except ValueError as exc:
                     raise SchemaError(f"edge_lengths[{pname}][{cid}]: not a decimal: {text!r}") from exc
-                lengths[cid] = value
             metrics.append(MetricComplex(pieces[k], lengths))
 
     return LoadedSystem(name=name, system=system, cores=cores, metrics=metrics)
@@ -281,16 +310,20 @@ def parse_cochain_document(doc: Any, system: AdjunctionSystem, names: list[str])
     for k, pname in enumerate(names):
         _expect(pname in comp_doc, "components", f"missing component for piece {pname!r}")
         values_doc = _as_map(comp_doc[pname], f"components[{pname}]")
+        dims = system.pieces[k].dims
         values: dict[str, Fraction] = {}
         for cid, text in values_doc.items():
-            _expect(cid in system.pieces[k].dims, f"components[{pname}][{cid}]", "unknown cell")
-            _expect(system.pieces[k].dims[cid] == degree, f"components[{pname}][{cid}]",
-                    f"cell has dimension {system.pieces[k].dims[cid]}, document degree is {degree}")
+            if cid not in dims:
+                _fail(f"components[{pname}][{cid}]", "unknown cell")
+            if dims[cid] != degree:
+                _fail(f"components[{pname}][{cid}]", f"cell has dimension {dims[cid]}, document degree is {degree}")
             try:
-                values[cid] = Fraction(str(text))
+                value = Fraction(str(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"components[{pname}][{cid}]: not a rational: {text!r}") from exc
-        components.append(Cochain.of(system.pieces[k].whole_set(), degree, values))
+            if value:
+                values[cid] = value
+        components.append(Cochain(system.pieces[k].whole_set(), degree, values))
     return assemble_global(system, components, degree)
 
 

@@ -1,10 +1,12 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
-non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs)."""
+non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs), and
+one-node mutations of JSON documents for the loading and CLI fuzz tests."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -316,3 +318,67 @@ def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) 
             comp[cell] = str(values[root])
         components[system.names[i]] = comp
     return {"schema_version": "1", "degree": degree, "components": components}
+
+
+# -- one-node document mutations --------------------------------------------------
+
+MUTANT_VALUES = (None, True, False, 0, 1, -1, 2, 1.5, "", "x", "1/0", "0.5", [], {})
+
+
+class DocumentMutator:
+    """Copies of one JSON document with one node replaced, renamed or deleted.
+
+    A top-level field is drawn first and then a node inside it, so the small
+    sections (regions, maps, orientations, cores, lengths) are hit as often as
+    the cell lists.  A replacement is a value from ``MUTANT_VALUES``, a string
+    of the document (a cell id or piece name) or a copy of another node; a
+    renamed object key takes such a string.
+    """
+
+    def __init__(self, doc: dict):
+        self.text = json.dumps(doc)
+        self.sections: dict[str, list[tuple]] = {}
+        self.strings: set[str] = set()
+        for key, value in doc.items():
+            paths = [(key,)]
+            self._walk(value, (key,), paths)
+            self.sections[key] = paths
+        self.all_paths = [path for key in sorted(self.sections) for path in self.sections[key]]
+        self.pool = sorted(self.strings)
+
+    def _walk(self, node, path: tuple, out: list[tuple]) -> None:
+        if isinstance(node, str):
+            self.strings.add(node)
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            if isinstance(key, str):
+                self.strings.add(key)
+            out.append(path + (key,))
+            self._walk(value, path + (key,), out)
+
+    def mutant(self, rng: random.Random) -> dict:
+        doc = json.loads(self.text)
+        path = rng.choice(self.sections[rng.choice(sorted(self.sections))])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        last = path[-1]
+        action = rng.random()
+        if action < 0.25:
+            del parent[last]
+        elif action < 0.4 and isinstance(parent, dict):
+            parent[rng.choice(self.pool)] = parent.pop(last)
+        else:
+            parent[last] = self._value(rng, doc)
+        return doc
+
+    def _value(self, rng: random.Random, doc: dict):
+        kind = rng.random()
+        if kind < 0.4:
+            return json.loads(json.dumps(rng.choice(MUTANT_VALUES)))
+        if kind < 0.8:
+            return rng.choice(self.pool)
+        node = doc
+        for key in rng.choice(self.all_paths):
+            node = node[key]
+        return json.loads(json.dumps(node))

@@ -13,16 +13,34 @@ kernel bases from ``Mat.nullspace``, cohomology representatives picked by
 The rank reference is Gauss-Jordan elimination over ``Fraction`` entries, as
 ``Mat.rank`` computed it before it moved to sparse forward elimination with
 unit pivots on ``int`` entries (test_linalg.py).
+
+The loading references are ``parse_document`` and the validation of
+complexes, orientations, gluing maps and systems as they were before the
+parser and the validators dropped their per-cell overhead (test_loading.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from nonhausdorff import linalg
-from nonhausdorff.adjunction import AdjunctionSystem, normalized_tuples
-from nonhausdorff.cells import CellSet, closure, euler_characteristic, is_face_closed
+from nonhausdorff.adjunction import (
+    AdjunctionSystem,
+    GluingMap,
+    _validate_cocycles,
+    normalized_tuples,
+)
+from nonhausdorff.cells import (
+    CellComplex,
+    CellSet,
+    Orientation,
+    closure,
+    euler_characteristic,
+    frontier,
+    is_face_closed,
+    is_star_closed,
+)
 from nonhausdorff.cochains import GlobalCochain, domain_integral, piece_integral
 from nonhausdorff.cohomology import (
     Bicomplex,
@@ -36,8 +54,10 @@ from nonhausdorff.cohomology import (
     build_bicomplex as library_bicomplex,
     total_betti,
 )
-from nonhausdorff.errors import PreconditionError
+from nonhausdorff.errors import PreconditionError, SchemaError, ValidationReport
+from nonhausdorff.geometry import MetricComplex
 from nonhausdorff.linalg import Mat, Vec, independent_columns, solve_columns
+from nonhausdorff.schema import SCHEMA_VERSION, LoadedSystem
 
 
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
@@ -266,3 +286,370 @@ def mv_report(
         last = betti_domain[max_q] - ranks[max_q]
         rows.append(MVRow(tail, h_total_all[tail], 0, 0, 0, 0, last, last))
     return MVReport(flavor, rows, alternating)
+
+
+# -- loading ---------------------------------------------------------------------
+
+
+def _expect(condition: bool, field: str, message: str) -> None:
+    if not condition:
+        raise SchemaError(f"{field}: {message}")
+
+
+def _as_map(doc: Any, field: str) -> Mapping[str, Any]:
+    _expect(isinstance(doc, Mapping), field, "expected an object")
+    return doc
+
+
+def _as_list(doc: Any, field: str) -> list:
+    _expect(isinstance(doc, list), field, "expected a list")
+    return doc
+
+
+def parse_document(doc: Any) -> LoadedSystem:
+    root = _as_map(doc, "$")
+    version = root.get("schema_version")
+    _expect(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
+    name = root.get("name", "unnamed")
+    _expect(isinstance(name, str), "name", "expected a string")
+
+    pieces_doc = _as_list(root.get("pieces"), "pieces")
+    _expect(len(pieces_doc) >= 1, "pieces", "need at least one piece")
+    names: list[str] = []
+    pieces: list[CellComplex] = []
+    for k, piece_doc in enumerate(pieces_doc):
+        pd = _as_map(piece_doc, f"pieces[{k}]")
+        pname = pd.get("name")
+        _expect(isinstance(pname, str) and pname, f"pieces[{k}].name", "expected a nonempty string")
+        _expect(pname not in names, f"pieces[{k}].name", f"duplicate piece name {pname!r}")
+        names.append(pname)
+        cells_doc = _as_list(pd.get("cells"), f"pieces[{k}].cells")
+        cells: list[tuple[str, int]] = []
+        incidence: dict[str, dict[str, int]] = {}
+        seen: set[str] = set()
+        for c_idx, cell_doc in enumerate(cells_doc):
+            cd = _as_map(cell_doc, f"pieces[{k}].cells[{c_idx}]")
+            cid = cd.get("id")
+            _expect(isinstance(cid, str) and cid, f"pieces[{k}].cells[{c_idx}].id", "expected a nonempty string")
+            _expect(cid not in seen, f"pieces[{k}].cells[{c_idx}].id", f"duplicate cell id {cid!r}")
+            seen.add(cid)
+            dim = cd.get("dim")
+            _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
+                    f"pieces[{k}].cells[{c_idx}].dim", "expected a non-negative integer")
+            cells.append((cid, dim))
+            faces = cd.get("faces", {})
+            fmap = _as_map(faces, f"pieces[{k}].cells[{c_idx}].faces")
+            row: dict[str, int] = {}
+            for fid, sign in fmap.items():
+                _expect(isinstance(fid, str), f"pieces[{k}].cells[{c_idx}].faces", "face ids must be strings")
+                _expect(sign in (1, -1), f"pieces[{k}].cells[{c_idx}].faces[{fid}]", "sign must be +1 or -1")
+                row[fid] = sign
+            if row:
+                incidence[cid] = row
+        pieces.append(CellComplex.build(cells, incidence))
+
+    def piece_index(label: Any, field: str) -> int:
+        _expect(isinstance(label, str), field, "expected a piece name")
+        _expect(label in names, field, f"unknown piece {label!r}")
+        return names.index(label)
+
+    def known_cell(i: int, cid: Any, field: str) -> str:
+        _expect(isinstance(cid, str), field, "expected a cell id")
+        _expect(cid in pieces[i].dims, field, f"unknown cell {cid!r} in piece {names[i]!r}")
+        return cid
+
+    regions: dict[tuple[int, int], list[str]] = {}
+    for r_idx, region_doc in enumerate(_as_list(root.get("regions", []), "regions")):
+        rd = _as_map(region_doc, f"regions[{r_idx}]")
+        i = piece_index(rd.get("i"), f"regions[{r_idx}].i")
+        j = piece_index(rd.get("j"), f"regions[{r_idx}].j")
+        _expect(i != j, f"regions[{r_idx}]", "self-gluing regions are implicit (A1)")
+        _expect((i, j) not in regions, f"regions[{r_idx}]", "duplicate region entry")
+        cells_list = _as_list(rd.get("cells"), f"regions[{r_idx}].cells")
+        regions[(i, j)] = [known_cell(i, c, f"regions[{r_idx}].cells") for c in cells_list]
+
+    maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str] | None]] = {}
+    for m_idx, map_doc in enumerate(_as_list(root.get("maps", []), "maps")):
+        md = _as_map(map_doc, f"maps[{m_idx}]")
+        i = piece_index(md.get("i"), f"maps[{m_idx}].i")
+        j = piece_index(md.get("j"), f"maps[{m_idx}].j")
+        _expect(i != j, f"maps[{m_idx}]", "self-gluing maps are implicit (A1)")
+        _expect((i, j) not in maps, f"maps[{m_idx}]", "duplicate map entry")
+        pairs: dict[str, str] = {}
+        for p_idx, pair in enumerate(_as_list(md.get("pairs"), f"maps[{m_idx}].pairs")):
+            _expect(isinstance(pair, list) and len(pair) == 2, f"maps[{m_idx}].pairs[{p_idx}]", "expected [src, dst]")
+            src = known_cell(i, pair[0], f"maps[{m_idx}].pairs[{p_idx}][0]")
+            dst = known_cell(j, pair[1], f"maps[{m_idx}].pairs[{p_idx}][1]")
+            _expect(src not in pairs, f"maps[{m_idx}].pairs[{p_idx}]", f"duplicate source cell {src!r}")
+            pairs[src] = dst
+        closure_pairs: dict[str, str] | None = None
+        if "closure_pairs" in md:
+            closure_pairs = {}
+            for p_idx, pair in enumerate(_as_list(md["closure_pairs"], f"maps[{m_idx}].closure_pairs")):
+                _expect(isinstance(pair, list) and len(pair) == 2,
+                        f"maps[{m_idx}].closure_pairs[{p_idx}]", "expected [src, dst]")
+                src = known_cell(i, pair[0], f"maps[{m_idx}].closure_pairs[{p_idx}][0]")
+                dst = known_cell(j, pair[1], f"maps[{m_idx}].closure_pairs[{p_idx}][1]")
+                closure_pairs[src] = dst
+        maps[(i, j)] = (pairs, closure_pairs)
+
+    orientations = None
+    if "orientations" in root and root["orientations"] is not None:
+        odoc = _as_map(root["orientations"], "orientations")
+        orientations = []
+        for k, pname in enumerate(names):
+            _expect(pname in odoc, "orientations", f"missing orientation for piece {pname!r}")
+            signs_doc = _as_map(odoc[pname], f"orientations[{pname}]")
+            signs: dict[str, int] = {}
+            for cid, sign in signs_doc.items():
+                known_cell(k, cid, f"orientations[{pname}]")
+                _expect(sign in (1, -1), f"orientations[{pname}][{cid}]", "sign must be +1 or -1")
+                signs[cid] = sign
+            orientations.append(Orientation(signs))
+
+    system = AdjunctionSystem.assemble(pieces, names, regions, maps, orientations)
+
+    cores = None
+    if "cores" in root and root["cores"] is not None:
+        assignments: dict[tuple[int, ...], CellSet] = {}
+        for c_idx, core_doc in enumerate(_as_list(root["cores"], "cores")):
+            cd = _as_map(core_doc, f"cores[{c_idx}]")
+            tup_names = _as_list(cd.get("pieces"), f"cores[{c_idx}].pieces")
+            _expect(len(tup_names) >= 2, f"cores[{c_idx}].pieces", "need at least two pieces")
+            tup = tuple(piece_index(t, f"cores[{c_idx}].pieces") for t in tup_names)
+            _expect(tuple(sorted(tup)) == tup and len(set(tup)) == len(tup),
+                    f"cores[{c_idx}].pieces", "pieces must be distinct and in document order")
+            ref = tup[0]
+            cell_list = _as_list(cd.get("cells"), f"cores[{c_idx}].cells")
+            members = [known_cell(ref, c, f"cores[{c_idx}].cells") for c in cell_list]
+            assignments[tup] = CellSet.of(pieces[ref], members)
+        cores = CoreAssignment(assignments)
+
+    metrics = None
+    if "edge_lengths" in root and root["edge_lengths"] is not None:
+        ldoc = _as_map(root["edge_lengths"], "edge_lengths")
+        metrics = []
+        for k, pname in enumerate(names):
+            _expect(pname in ldoc, "edge_lengths", f"missing lengths for piece {pname!r}")
+            entries = _as_map(ldoc[pname], f"edge_lengths[{pname}]")
+            lengths: dict[str, float] = {}
+            for cid, text in entries.items():
+                known_cell(k, cid, f"edge_lengths[{pname}]")
+                _expect(isinstance(text, str), f"edge_lengths[{pname}][{cid}]",
+                        "lengths are decimal strings")
+                try:
+                    value = float(text)
+                except ValueError as exc:
+                    raise SchemaError(f"edge_lengths[{pname}][{cid}]: not a decimal: {text!r}") from exc
+                lengths[cid] = value
+            metrics.append(MetricComplex(pieces[k], lengths))
+
+    return LoadedSystem(name=name, system=system, cores=cores, metrics=metrics)
+
+
+def validate_complex(c: CellComplex) -> ValidationReport:
+    """Check the complex invariants; every violation becomes a report entry."""
+    report = ValidationReport()
+    for cell, dim in c.dims.items():
+        if dim < 0:
+            report.add("cell-dimension", cell, f"negative dimension {dim}")
+    for cell, fs in c.faces.items():
+        if cell not in c.dims:
+            report.add("dangling-cell", cell, "incidence row for unknown cell")
+            continue
+        for face, sign in fs.items():
+            if face not in c.dims:
+                report.add("dangling-face", f"{cell}->{face}", "face id does not exist")
+                continue
+            if c.dims[face] != c.dims[cell] - 1:
+                report.add(
+                    "codimension",
+                    f"{cell}->{face}",
+                    f"face has dimension {c.dims[face]}, expected {c.dims[cell] - 1}",
+                )
+            if sign not in (1, -1):
+                report.add("incidence-sign", f"{cell}->{face}", f"sign {sign} not in {{+1,-1}}")
+    # boundary-of-boundary vanishes
+    for cell in c.dims:
+        acc: dict[str, int] = {}
+        for face, s1 in c.faces_of(cell).items():
+            if face not in c.dims:
+                continue
+            for sub, s2 in c.faces_of(face).items():
+                if sub not in c.dims:
+                    continue
+                acc[sub] = acc.get(sub, 0) + s1 * s2
+        for sub, total in sorted(acc.items()):
+            if total != 0:
+                report.add(
+                    "boundary-squared",
+                    f"{cell}->{sub}",
+                    f"composite boundary coefficient {total} != 0",
+                )
+    return report
+
+
+def validate_orientation(c: CellComplex, orientation: Orientation) -> ValidationReport:
+    """Adjacent top cells must induce opposite signs on each shared face."""
+    report = ValidationReport()
+    top = c.top_dimension
+    for cell in c.cells_of_dim(top):
+        if cell not in orientation.signs:
+            report.add("orientation-missing", cell, "top cell has no sign")
+        elif orientation.signs[cell] not in (1, -1):
+            report.add("orientation-sign", cell, "sign must be +1 or -1")
+    for face in c.cells_of_dim(top - 1) if top >= 1 else []:
+        carriers = [
+            (t, sign) for t, sign in sorted(c.cofaces_of(face).items()) if c.dims.get(t) == top
+        ]
+        if len(carriers) != 2:
+            continue
+        (t1, s1), (t2, s2) = carriers
+        if t1 not in orientation.signs or t2 not in orientation.signs:
+            continue
+        induced1 = orientation.signs[t1] * s1
+        induced2 = orientation.signs[t2] * s2
+        if induced1 + induced2 != 0:
+            report.add(
+                "orientation-incoherent",
+                face,
+                f"top cells {t1} and {t2} induce equal signs on shared face",
+            )
+    return report
+
+
+def validate_system(system: AdjunctionSystem) -> ValidationReport:
+    """Check A1-A3, openness, bijection/sign preservation, closure extensions
+    and orientation compatibility; every violation is a report entry."""
+    report = ValidationReport()
+    for idx, piece in enumerate(system.pieces):
+        report.merge(validate_complex(piece), prefix=f"piece {system.names[idx]}/")
+
+    for (i, j) in system.ordered_pairs():
+        loc = f"region({system.names[i]},{system.names[j]})"
+        region = system.region(i, j)
+        if not is_star_closed(region):
+            report.add("region-open", loc, "gluing region is not star-closed (not open)")
+        gm = system.gluing(i, j)
+        if gm is None:
+            if region.members:
+                report.add("map-missing", loc, "nonempty region has no gluing map")
+            continue
+        _validate_gluing_map(system, i, j, gm, report)
+
+    # A2: opposite directions are mutually inverse
+    for (i, j) in system.ordered_pairs():
+        if i > j:
+            continue
+        gm = system.gluing(i, j)
+        rev = system.gluing(j, i)
+        if gm is None or rev is None:
+            continue
+        loc = f"map({system.names[i]},{system.names[j]})"
+        inv = {v: k for k, v in gm.forward.items()}
+        if rev.forward != inv:
+            report.add("A2", loc, "reverse map is not the inverse of the forward map")
+        if rev.source.members != frozenset(gm.forward.values()):
+            report.add("A2", loc, "reverse region differs from the image of the forward region")
+        inv_closure = {v: k for k, v in gm.closure_forward.items()}
+        if rev.closure_forward != inv_closure:
+            report.add("A2", loc, "reverse closure extension is not the inverse extension")
+
+    _validate_cocycles(system, report)
+
+    if system.orientations is not None:
+        if len(system.orientations) != system.n():
+            report.add("orientation", "system", "need one orientation per piece")
+        else:
+            for idx, orient in enumerate(system.orientations):
+                report.merge(
+                    validate_orientation(system.pieces[idx], orient),
+                    prefix=f"piece {system.names[idx]}/",
+                )
+            for (i, j) in system.ordered_pairs():
+                gm = system.gluing(i, j)
+                if gm is None:
+                    continue
+                top = system.pieces[i].top_dimension
+                for cell in sorted(gm.forward):
+                    if system.pieces[i].dims.get(cell) != top:
+                        continue
+                    image = gm.forward[cell]
+                    left = system.orientations[i].signs.get(cell)
+                    right = system.orientations[j].signs.get(image)
+                    if left is not None and right is not None and left != right:
+                        report.add(
+                            "orientation-preserving",
+                            f"map({system.names[i]},{system.names[j]}):{cell}",
+                            "gluing map reverses orientation",
+                        )
+    return report
+
+
+def _validate_gluing_map(
+    system: AdjunctionSystem, i: int, j: int, gm: GluingMap, report: ValidationReport
+) -> None:
+    pi, pj = system.pieces[i], system.pieces[j]
+    loc = f"map({system.names[i]},{system.names[j]})"
+    region = system.region(i, j)
+    if gm.source.members != region.members:
+        report.add("map-domain", loc, "map source differs from the declared region")
+    if set(gm.forward) != set(region.members):
+        report.add("bijection", loc, "map is not defined on exactly the region")
+    values = list(gm.forward.values())
+    if len(set(values)) != len(values):
+        report.add("bijection", loc, "map is not injective")
+    if set(values) != set(gm.target.members):
+        report.add("bijection", loc, "map image differs from the target region")
+
+    src_closure = closure(region)
+    tgt_closure = closure(system.region(j, i))
+    if set(gm.closure_forward) != set(src_closure.members):
+        missing = sorted(set(src_closure.members) - set(gm.closure_forward))
+        if missing:
+            report.add(
+                "closure-extension",
+                loc,
+                f"extension missing on closure cells {missing[:5]}",
+            )
+        extra = sorted(set(gm.closure_forward) - set(src_closure.members))
+        if extra:
+            report.add("closure-extension", loc, f"extension defined off the closure: {extra[:5]}")
+    cl_values = list(gm.closure_forward.values())
+    if len(set(cl_values)) != len(cl_values):
+        report.add("closure-extension", loc, "closure extension is not injective")
+    elif set(gm.closure_forward) == set(src_closure.members) and set(cl_values) != set(
+        tgt_closure.members
+    ):
+        report.add("closure-extension", loc, "closure extension is not onto the target closure")
+    for cell in sorted(gm.forward):
+        if gm.closure_forward.get(cell) != gm.forward[cell]:
+            report.add("closure-extension", f"{loc}:{cell}", "extension disagrees with the map")
+            break
+    # frontier goes to frontier
+    if is_star_closed(region) and is_star_closed(system.region(j, i)):
+        front_src = frontier(region).members
+        front_tgt = frontier(system.region(j, i)).members
+        mapped = {gm.closure_forward[c] for c in front_src if c in gm.closure_forward}
+        if mapped != front_tgt and set(gm.closure_forward) == set(src_closure.members):
+            report.add("frontier-bijection", loc, "frontier does not map onto the opposite frontier")
+
+    # dimension and incidence-sign preservation on the whole closure
+    for cell in sorted(gm.closure_forward):
+        image = gm.closure_forward[cell]
+        if cell not in pi.dims or image not in pj.dims:
+            report.add("bijection", f"{loc}:{cell}", "map references unknown cells")
+            continue
+        if pi.dims[cell] != pj.dims[image]:
+            report.add("dimension-preserving", f"{loc}:{cell}", "image has different dimension")
+            continue
+        for face, sign in pi.faces_of(cell).items():
+            if face not in gm.closure_forward:
+                continue
+            want = pj.faces_of(image).get(gm.closure_forward[face])
+            if want != sign:
+                report.add(
+                    "incidence-preserving",
+                    f"{loc}:{cell}->{face}",
+                    f"incidence sign {sign} maps to {want}",
+                )

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -50,21 +51,162 @@ def test_fixture_files_match_builders():
         assert canonical(on_disk) == canonical(serialize_fixture(builder())), name
 
 
-@pytest.mark.parametrize(
-    "mutate, field",
-    [
-        (lambda d: d.update(schema_version="0"), "schema_version"),
-        (lambda d: d["pieces"][0]["cells"].append({"id": "v0", "dim": 0}), "duplicate"),
-        (lambda d: d["regions"][0]["cells"].append("nope"), "unknown cell"),
-        (lambda d: d["pieces"][0]["cells"][0].update(dim=-1), "non-negative"),
-        (lambda d: d["maps"][0].update(pairs=[["v1"]]), "expected [src, dst]"),
-    ],
-)
-def test_parse_errors_name_the_field(mutate, field):
+def _set(path, value):
+    """Mutation that sets the node at ``path`` (keys and indices) to ``value``."""
+
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _delete(path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return mutate
+
+
+# Every check of parse_document, with the exact message it raises; the
+# document is line_two_origins, whose piece P1 lists v-1 v-2 v0 v1 v2 and
+# then the edges e-1 e-2 e0 e1 (cells[5..8]).
+PARSE_ERRORS = [
+    (lambda d: d.clear() or None, "schema_version: expected '1', got None"),
+    (_set(["schema_version"], "0"), "schema_version: expected '1', got '0'"),
+    (_set(["name"], 3), "name: expected a string"),
+    (_delete(["pieces"]), "pieces: expected a list"),
+    (_set(["pieces"], []), "pieces: need at least one piece"),
+    (_set(["pieces", 0], "P1"), "pieces[0]: expected an object"),
+    (_set(["pieces", 1, "name"], ""), "pieces[1].name: expected a nonempty string"),
+    (_set(["pieces", 1, "name"], "P1"), "pieces[1].name: duplicate piece name 'P1'"),
+    (_set(["pieces", 0, "cells"], {}), "pieces[0].cells: expected a list"),
+    (_set(["pieces", 0, "cells", 0], 7), "pieces[0].cells[0]: expected an object"),
+    (_set(["pieces", 0, "cells", 0], ["v-1", 0]), "pieces[0].cells[0]: expected an object"),
+    (_set(["pieces", 0, "cells", 0, "id"], 5), "pieces[0].cells[0].id: expected a nonempty string"),
+    (
+        lambda d: d["pieces"][0]["cells"].append({"id": "v0", "dim": 0}),
+        "pieces[0].cells[9].id: duplicate cell id 'v0'",
+    ),
+    (_set(["pieces", 0, "cells", 0, "dim"], -1), "pieces[0].cells[0].dim: expected a non-negative integer"),
+    (_set(["pieces", 0, "cells", 0, "dim"], True), "pieces[0].cells[0].dim: expected a non-negative integer"),
+    (_set(["pieces", 0, "cells", 0, "dim"], 1.0), "pieces[0].cells[0].dim: expected a non-negative integer"),
+    (_delete(["pieces", 0, "cells", 0, "dim"]), "pieces[0].cells[0].dim: expected a non-negative integer"),
+    (_set(["pieces", 0, "cells", 5, "faces"], None), "pieces[0].cells[5].faces: expected an object"),
+    (_set(["pieces", 0, "cells", 5, "faces"], [["v0", 1]]), "pieces[0].cells[5].faces: expected an object"),
+    (_set(["pieces", 0, "cells", 5, "faces", 3], 1), "pieces[0].cells[5].faces: face ids must be strings"),
+    (_set(["pieces", 0, "cells", 5, "faces", "v0"], 0), "pieces[0].cells[5].faces[v0]: sign must be +1 or -1"),
+    (_set(["pieces", 0, "cells", 5, "faces", "v0"], "1"), "pieces[0].cells[5].faces[v0]: sign must be +1 or -1"),
+    (_set(["regions"], {}), "regions: expected a list"),
+    (_set(["regions", 0], None), "regions[0]: expected an object"),
+    (_set(["regions", 0, "i"], "Q"), "regions[0].i: unknown piece 'Q'"),
+    (_set(["regions", 0, "j"], 2), "regions[0].j: expected a piece name"),
+    (_set(["regions", 0, "j"], "P1"), "regions[0]: self-gluing regions are implicit (A1)"),
+    (lambda d: d["regions"].append(dict(d["regions"][0])), "regions[1]: duplicate region entry"),
+    (_delete(["regions", 0, "cells"]), "regions[0].cells: expected a list"),
+    (lambda d: d["regions"][0]["cells"].append("nope"), "regions[0].cells: unknown cell 'nope' in piece 'P1'"),
+    (_set(["regions", 0, "cells", 0], None), "regions[0].cells: expected a cell id"),
+    (_set(["maps"], None), "maps: expected a list"),
+    (_set(["maps", 0], []), "maps[0]: expected an object"),
+    (_delete(["maps", 0, "i"]), "maps[0].i: expected a piece name"),
+    (_set(["maps", 0, "j"], "P3"), "maps[0].j: unknown piece 'P3'"),
+    (_set(["maps", 0, "i"], "P2"), "maps[0]: self-gluing maps are implicit (A1)"),
+    (lambda d: d["maps"].append(dict(d["maps"][0])), "maps[1]: duplicate map entry"),
+    (_set(["maps", 0, "pairs"], None), "maps[0].pairs: expected a list"),
+    (_set(["maps", 0, "pairs"], [["v1"]]), "maps[0].pairs[0]: expected [src, dst]"),
+    (_set(["maps", 0, "pairs", 1], ("e-2", "e-2")), "maps[0].pairs[1]: expected [src, dst]"),
+    (_set(["maps", 0, "pairs", 0, 0], "v9"), "maps[0].pairs[0][0]: unknown cell 'v9' in piece 'P1'"),
+    (_set(["maps", 0, "pairs", 0, 1], 0), "maps[0].pairs[0][1]: expected a cell id"),
+    (_set(["maps", 0, "pairs", 1, 0], "e-1"), "maps[0].pairs[1]: duplicate source cell 'e-1'"),
+    (_set(["maps", 0, "closure_pairs"], 5), "maps[0].closure_pairs: expected a list"),
+    (_set(["maps", 0, "closure_pairs", 0], ["e-1", "e-1", "e-1"]), "maps[0].closure_pairs[0]: expected [src, dst]"),
+    (_set(["maps", 0, "closure_pairs", 2], {"e0": "e0"}), "maps[0].closure_pairs[2]: expected [src, dst]"),
+    (_set(["maps", 0, "closure_pairs", 0, 0], "x"), "maps[0].closure_pairs[0][0]: unknown cell 'x' in piece 'P1'"),
+    (_set(["maps", 0, "closure_pairs", 0, 1], "x"), "maps[0].closure_pairs[0][1]: unknown cell 'x' in piece 'P2'"),
+    (_set(["orientations"], []), "orientations: expected an object"),
+    (_delete(["orientations", "P2"]), "orientations: missing orientation for piece 'P2'"),
+    (_set(["orientations", "P1"], 1), "orientations[P1]: expected an object"),
+    (_set(["orientations", "P1", "e9"], 1), "orientations[P1]: unknown cell 'e9' in piece 'P1'"),
+    (_set(["orientations", "P1", "e0"], 2), "orientations[P1][e0]: sign must be +1 or -1"),
+    (_set(["orientations", "P2", "e1"], None), "orientations[P2][e1]: sign must be +1 or -1"),
+    (_set(["cores"], {}), "cores: expected a list"),
+    (_set(["cores", 0], "P1"), "cores[0]: expected an object"),
+    (_set(["cores", 0, "pieces"], "P1"), "cores[0].pieces: expected a list"),
+    (_set(["cores", 0, "pieces"], ["P1"]), "cores[0].pieces: need at least two pieces"),
+    (_set(["cores", 0, "pieces"], ["P1", "Q"]), "cores[0].pieces: unknown piece 'Q'"),
+    (_set(["cores", 0, "pieces"], ["P2", "P1"]), "cores[0].pieces: pieces must be distinct and in document order"),
+    (_set(["cores", 0, "pieces"], ["P1", "P1"]), "cores[0].pieces: pieces must be distinct and in document order"),
+    (_set(["cores", 0, "cells"], None), "cores[0].cells: expected a list"),
+    (_set(["cores", 0, "cells", 0], "w"), "cores[0].cells: unknown cell 'w' in piece 'P1'"),
+    (_set(["edge_lengths"], "1"), "edge_lengths: expected an object"),
+    (_set(["edge_lengths"], {"P1": {}}), "edge_lengths: missing lengths for piece 'P2'"),
+    (_set(["edge_lengths"], {"P1": []}), "edge_lengths[P1]: expected an object"),
+    (_set(["edge_lengths"], {"P1": {"e7": "1"}}), "edge_lengths[P1]: unknown cell 'e7' in piece 'P1'"),
+    (_set(["edge_lengths"], {"P1": {"e0": 1.5}}), "edge_lengths[P1][e0]: lengths are decimal strings"),
+    (_set(["edge_lengths"], {"P1": {"e0": "1,5"}}), "edge_lengths[P1][e0]: not a decimal: '1,5'"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", PARSE_ERRORS)
+def test_parse_errors_name_the_field(mutate, message):
     doc = serialize_fixture(line_two_origins())
     mutate(doc)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as info:
         parse_document(doc)
+    assert str(info.value) == message
+
+
+def test_root_must_be_an_object():
+    with pytest.raises(SchemaError) as info:
+        parse_document([])
+    assert str(info.value) == "$: expected an object"
+
+
+def test_parse_accepts_any_mapping():
+    # objects need not be dicts: a read-only mapping parses to the same system
+    doc = serialize_fixture(line_two_origins())
+    frozen = json.loads(json.dumps(doc), object_hook=MappingProxyType)
+    again = parse_document(frozen)
+    assert canonical(serialize_system(again.name, again.system, again.cores, again.metrics)) == canonical(doc)
+
+
+COCHAIN_ERRORS = [
+    (_set(["schema_version"], 1), "schema_version: expected '1', got 1"),
+    (_set(["degree"], -1), "degree: expected a non-negative integer"),
+    (_set(["components"], []), "components: expected an object"),
+    (_delete(["components", "C2"]), "components: missing component for piece 'C2'"),
+    (_set(["components", "C1"], "1"), "components[C1]: expected an object"),
+    (_set(["components", "C1", "z"], "1"), "components[C1][z]: unknown cell"),
+    (_set(["components", "C1", "w0"], "1"), "components[C1][w0]: cell has dimension 0, document degree is 1"),
+    (_set(["components", "C2", "c3"], "x"), "components[C2][c3]: not a rational: 'x'"),
+    (_set(["components", "C1", "c0"], "1/0"), "components[C1][c0]: not a rational: '1/0'"),
+    (_set(["components", "C1", "c0"], "0.5.1"), "components[C1][c0]: not a rational: '0.5.1'"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", COCHAIN_ERRORS)
+def test_cochain_errors_name_the_field(mutate, message):
+    s = glued_circles().system
+    doc = {"schema_version": "1", "degree": 1, "components": {"C1": {"c3": "1/2"}, "C2": {"c3": "2"}}}
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        parse_cochain_document(doc, s, s.names)
+    assert str(info.value) == message
+
+
+def test_cochain_values_parse_exactly():
+    s = glued_circles().system
+    doc = {"schema_version": "1", "degree": 1,
+           "components": {"C1": {"c3": "-3/6", "c4": "0", "c5": "0.25"}, "C2": {"c3": 2, "c4": "1e-2"}}}
+    w = parse_cochain_document(doc, s, s.names)
+    assert dict(w.components[0].values) == {"c3": Fraction(-1, 2), "c5": Fraction(1, 4)}
+    assert dict(w.components[1].values) == {"c3": Fraction(2), "c4": Fraction(1, 100)}
+    assert all(type(v) is Fraction for comp in w.components for v in comp.values.values())
 
 
 def test_cochain_document_round_trip():
