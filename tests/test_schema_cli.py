@@ -75,10 +75,11 @@ def _delete(path):
 
 # Every check of parse_document, with the exact message it raises; the
 # document is line_two_origins, whose piece P1 lists v-1 v-2 v0 v1 v2 and
-# then the edges e-1 e-2 e0 e1 (cells[5..8]).
+# then the edges e-1 e-2 e0 e1 (cells[5..8]).  The five cases with an id
+# keep the test ids they had when only the field was checked.
 PARSE_ERRORS = [
     (lambda d: d.clear() or None, "schema_version: expected '1', got None"),
-    (_set(["schema_version"], "0"), "schema_version: expected '1', got '0'"),
+    pytest.param(_set(["schema_version"], "0"), "schema_version: expected '1', got '0'", id="<lambda>-schema_version"),
     (_set(["name"], 3), "name: expected a string"),
     (_delete(["pieces"]), "pieces: expected a list"),
     (_set(["pieces"], []), "pieces: need at least one piece"),
@@ -89,11 +90,16 @@ PARSE_ERRORS = [
     (_set(["pieces", 0, "cells", 0], 7), "pieces[0].cells[0]: expected an object"),
     (_set(["pieces", 0, "cells", 0], ["v-1", 0]), "pieces[0].cells[0]: expected an object"),
     (_set(["pieces", 0, "cells", 0, "id"], 5), "pieces[0].cells[0].id: expected a nonempty string"),
-    (
+    pytest.param(
         lambda d: d["pieces"][0]["cells"].append({"id": "v0", "dim": 0}),
         "pieces[0].cells[9].id: duplicate cell id 'v0'",
+        id="<lambda>-duplicate",
     ),
-    (_set(["pieces", 0, "cells", 0, "dim"], -1), "pieces[0].cells[0].dim: expected a non-negative integer"),
+    pytest.param(
+        _set(["pieces", 0, "cells", 0, "dim"], -1),
+        "pieces[0].cells[0].dim: expected a non-negative integer",
+        id="<lambda>-non-negative",
+    ),
     (_set(["pieces", 0, "cells", 0, "dim"], True), "pieces[0].cells[0].dim: expected a non-negative integer"),
     (_set(["pieces", 0, "cells", 0, "dim"], 1.0), "pieces[0].cells[0].dim: expected a non-negative integer"),
     (_delete(["pieces", 0, "cells", 0, "dim"]), "pieces[0].cells[0].dim: expected a non-negative integer"),
@@ -109,7 +115,11 @@ PARSE_ERRORS = [
     (_set(["regions", 0, "j"], "P1"), "regions[0]: self-gluing regions are implicit (A1)"),
     (lambda d: d["regions"].append(dict(d["regions"][0])), "regions[1]: duplicate region entry"),
     (_delete(["regions", 0, "cells"]), "regions[0].cells: expected a list"),
-    (lambda d: d["regions"][0]["cells"].append("nope"), "regions[0].cells: unknown cell 'nope' in piece 'P1'"),
+    pytest.param(
+        lambda d: d["regions"][0]["cells"].append("nope"),
+        "regions[0].cells: unknown cell 'nope' in piece 'P1'",
+        id="<lambda>-unknown cell",
+    ),
     (_set(["regions", 0, "cells", 0], None), "regions[0].cells: expected a cell id"),
     (_set(["maps"], None), "maps: expected a list"),
     (_set(["maps", 0], []), "maps[0]: expected an object"),
@@ -118,7 +128,9 @@ PARSE_ERRORS = [
     (_set(["maps", 0, "i"], "P2"), "maps[0]: self-gluing maps are implicit (A1)"),
     (lambda d: d["maps"].append(dict(d["maps"][0])), "maps[1]: duplicate map entry"),
     (_set(["maps", 0, "pairs"], None), "maps[0].pairs: expected a list"),
-    (_set(["maps", 0, "pairs"], [["v1"]]), "maps[0].pairs[0]: expected [src, dst]"),
+    pytest.param(
+        _set(["maps", 0, "pairs"], [["v1"]]), "maps[0].pairs[0]: expected [src, dst]", id="<lambda>-expected [src, dst]"
+    ),
     (_set(["maps", 0, "pairs", 1], ("e-2", "e-2")), "maps[0].pairs[1]: expected [src, dst]"),
     (_set(["maps", 0, "pairs", 0, 0], "v9"), "maps[0].pairs[0][0]: unknown cell 'v9' in piece 'P1'"),
     (_set(["maps", 0, "pairs", 0, 1], 0), "maps[0].pairs[0][1]: expected a cell id"),
