@@ -11,11 +11,9 @@ Gauss-Bonnet ledgers with frontier counterterms.
 
 from .adjunction import (
     AdjunctionSystem,
-    BinarySplit,
     CellClasses,
     GluingMap,
     HausdorffPair,
-    binary_decomposition,
     closure_intersection_check,
     glued_cell_classes,
     hausdorff_pairs,
@@ -24,7 +22,6 @@ from .adjunction import (
     open_intersection,
     closed_intersection,
     quotient_complex,
-    reglue_classes,
     regular_open_check,
     validate_system,
 )
@@ -62,7 +59,6 @@ from .cohomology import (
     FreeComplex,
     betti,
     build_bicomplex,
-    cech_differential,
     complex_betti,
     de_rham_compare,
     euler_inclusion_exclusion,

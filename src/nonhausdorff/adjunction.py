@@ -163,11 +163,10 @@ class AdjunctionSystem:
         return self.orientations is not None
 
 
-def normalized_tuples(n: int, min_size: int = 2, max_size: int | None = None) -> list[tuple[int, ...]]:
-    """Ascending index tuples i1 < ... < ip, smallest sizes first."""
-    cap = n if max_size is None else min(n, max_size)
+def normalized_tuples(n: int) -> list[tuple[int, ...]]:
+    """Ascending index tuples i1 < ... < ip with p >= 2, smallest sizes first."""
     out: list[tuple[int, ...]] = []
-    for size in range(min_size, cap + 1):
+    for size in range(2, n + 1):
         out.extend(itertools.combinations(range(n), size))
     return out
 
@@ -457,71 +456,10 @@ def glued_cell_classes(system: AdjunctionSystem) -> CellClasses:
         for (i, j), gm in sorted(system.maps.items())
         for cell, image in gm.forward.items()
     )
-    return _cell_classes(equivalence_classes(_all_cells(system), links))
-
-
-def _all_cells(system: AdjunctionSystem) -> list[tuple[int, str]]:
-    return [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
-
-
-def _cell_classes(groups: list[list[tuple[int, str]]]) -> CellClasses:
-    classes = sorted(tuple(sorted(group)) for group in groups)
+    nodes = [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
+    classes = sorted(tuple(sorted(group)) for group in equivalence_classes(nodes, links))
     index = {node: k for k, cls in enumerate(classes) for node in cls}
     return CellClasses(classes, index)
-
-
-@dataclass(eq=False)
-class BinarySplit:
-    """An n-piece system viewed as (first n-1 pieces) glued to the last piece."""
-
-    front: AdjunctionSystem
-    last_piece: CellComplex
-    last_name: str
-    induced_region: CellSet
-    induced_targets: dict[str, tuple[int, str]]
-
-
-def binary_decomposition(system: AdjunctionSystem) -> BinarySplit:
-    """Split off the last piece; the induced region is the union of its
-    gluing regions and the induced map lands in classes of the remainder."""
-    n = system.n()
-    if n < 2:
-        raise PreconditionError("binary_decomposition: need at least two pieces")
-    last = n - 1
-    front = AdjunctionSystem(
-        pieces=system.pieces[:last],
-        names=system.names[:last],
-        regions={k: v for k, v in system.regions.items() if k[0] < last and k[1] < last},
-        maps={k: v for k, v in system.maps.items() if k[0] < last and k[1] < last},
-        orientations=system.orientations[:last] if system.orientations else None,
-    )
-    induced_region = union_of_regions(system, last, range(last))
-    front_classes = glued_cell_classes(front)
-    targets: dict[str, tuple[int, str]] = {}
-    for cell in induced_region.sorted_members():
-        seen: list[tuple[int, str]] = []
-        for i in range(last):
-            if cell in system.region(last, i).members:
-                seen.append((i, system.cell_map(last, i, cell)))
-        assert seen
-        keys = {front_classes.class_of(i, c) for i, c in seen}
-        if len(keys) != 1:
-            raise PreconditionError(
-                f"binary_decomposition: induced map multivalued at cell {cell!r} (A3 failure)"
-            )
-        targets[cell] = min(seen)
-    return BinarySplit(front, system.pieces[last], system.names[last], induced_region, targets)
-
-
-def reglue_classes(system: AdjunctionSystem) -> CellClasses:
-    """Classes obtained by re-gluing the binary decomposition; for a valid
-    system this must reproduce glued_cell_classes exactly."""
-    split = binary_decomposition(system)
-    last = system.n() - 1
-    front_classes = glued_cell_classes(split.front)
-    links = [(cls[0], node) for cls in front_classes.classes for node in cls[1:]]
-    links.extend(((last, cell), target) for cell, target in split.induced_targets.items())
-    return _cell_classes(equivalence_classes(_all_cells(system), links))
 
 
 def closure_intersection_check(system: AdjunctionSystem) -> dict[tuple[int, ...], bool]:

@@ -10,6 +10,7 @@ dispatched from the COMMANDS table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable
@@ -330,6 +331,7 @@ COMMANDS: dict[str, tuple[Handler, bool, bool]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonhausdorff",

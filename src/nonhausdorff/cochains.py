@@ -20,7 +20,7 @@ from .adjunction import (
     glued_cell_classes,
     nerve,
 )
-from .cells import CellSet, Orientation, closure, frontier, is_face_closed, is_star_closed
+from .cells import CellSet, Orientation, closure, is_face_closed, is_star_closed
 from .errors import IncompatibleCochainError, InvariantError, PreconditionError
 
 
@@ -250,14 +250,19 @@ def boundary_signs(system: AdjunctionSystem, piece: int, domain: CellSet) -> dic
 
 
 def stokes_defect(w: GlobalCochain) -> tuple[Fraction, Fraction]:
-    """For a binary adjunction of closed pieces, both sides of the exact
-    failure of Stokes: (integral of dw over the glued space, minus the
-    oriented frontier sum of w).  The two must agree exactly."""
+    """Both sides of the exact failure of Stokes on a gluing of closed pieces:
+    (integral of dw over the glued space, minus the oriented frontier sum of w).
+
+    Each closed piece has integral of dw zero, so the inclusion-exclusion of
+    :func:`integrate` leaves only the nerve terms
+
+        rhs = - sum_{T in nerve} (-1)^|T| sum_f sign_T(f) * w(f)
+
+    with f over the codim-1 cells of the closure of the intersection T and
+    sign_T from :func:`boundary_signs` in piece T[0]; interior cells have sign
+    zero.  For two pieces this is minus the oriented frontier sum of the
+    region.  The two sides must agree exactly."""
     system = w.system
-    if system.n() != 2:
-        raise PreconditionError(
-            "stokes_defect: system is not binary (apply binary_decomposition first)"
-        )
     top = _require_oriented_top(system, w.degree + 1)
     for idx, piece in enumerate(system.pieces):
         for cell in piece.cells_of_dim(top - 1):
@@ -267,13 +272,12 @@ def stokes_defect(w: GlobalCochain) -> tuple[Fraction, Fraction]:
                     f"stokes_defect: piece {system.names[idx]} is not closed at cell {cell!r}"
                 )
     lhs = integrate(coboundary_global(w))
-    region = system.region(0, 1)
-    domain = closure(region)
-    signs = boundary_signs(system, 0, domain)
     rhs = Fraction(0)
-    for cell in frontier(region).sorted_members():
-        if system.pieces[0].dims[cell] == top - 1:
-            rhs -= signs.get(cell, 0) * w.value(0, cell)
+    for entry in nerve(system):
+        ref = entry.tup[0]
+        signs = boundary_signs(system, ref, entry.closed)
+        term = sum(sign * w.value(ref, cell) for cell, sign in signs.items())
+        rhs -= (-1) ** len(entry.tup) * term
     return lhs, rhs
 
 

@@ -337,17 +337,6 @@ def _domain_transport(
     return system.cell_map(src_tuple[0], to_piece, cell)
 
 
-def cech_differential(
-    system: AdjunctionSystem,
-    p: int,
-    q: int,
-    flavor: Flavor,
-    cores: CoreAssignment | None = None,
-) -> Mat:
-    """Matrix of delta: column p, degree q -> column p+1, degree q."""
-    return build_bicomplex(system, flavor, cores).delta(p, q)
-
-
 def build_bicomplex(
     system: AdjunctionSystem,
     flavor: Flavor,

@@ -1,7 +1,8 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
-non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs), and
-one-node mutations of JSON documents for the loading and CLI fuzz tests."""
+non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs,
+hexagons glued on open arcs), and one-node mutations of JSON documents for
+the loading and CLI fuzz tests."""
 
 from __future__ import annotations
 
@@ -287,6 +288,38 @@ def torus_pair(n: int) -> fixture_mod.Fixture:
     system = AdjunctionSystem.assemble(pieces, ["T1", "T2"], regions, maps, _plus_orientations(pieces))
     core = CellSet.of(pieces[0], row + [f"h{x},1" for x in range(n)])
     return fixture_mod.Fixture(f"tori_{n}", system, CoreAssignment({(0, 1): core}))
+
+
+HEXAGON_ARC = ["c0", "c1", "c2", "w1", "w2"]  # the open 3-edge arc w0..w3
+HEXAGON_CHAIN = {(0, 1): ["c0", "c1", "w1"], (1, 2): ["c3", "c4", "w4"]}
+
+
+def glued_hexagons(
+    k: int, arcs: dict[tuple[int, int], list[str]] | None = None
+) -> fixture_mod.Fixture:
+    """``k`` hexagons ``cycle_complex(6)`` glued by identity maps, every pair
+    along ``HEXAGON_ARC`` (with the core w1-c1-w2 for every tuple) unless
+    ``arcs`` gives the open arc of each glued pair.  Every piece is closed, so
+    ``stokes-check`` applies for any k."""
+    pieces = [fixture_mod.cycle_complex(6) for _ in range(k)]
+    cores = None
+    if arcs is None:
+        arcs = {pair: HEXAGON_ARC for pair in itertools.combinations(range(k), 2)}
+        cores = CoreAssignment({
+            tup: CellSet.of(pieces[tup[0]], ["w1", "c1", "w2"])
+            for size in range(2, k + 1)
+            for tup in itertools.combinations(range(k), size)
+        })
+    regions: dict[tuple[int, int], list[str]] = {}
+    maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str]]] = {}
+    for pair, arc in arcs.items():
+        regions[pair] = arc
+        closed = closure(CellSet.of(pieces[pair[0]], arc)).members
+        maps[pair] = ({c: c for c in arc}, {c: c for c in closed})
+    system = AdjunctionSystem.assemble(
+        pieces, [f"C{i}" for i in range(k)], regions, maps, _plus_orientations(pieces)
+    )
+    return fixture_mod.Fixture(f"hexagons_{k}", system, cores)
 
 
 def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) -> dict:

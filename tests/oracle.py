@@ -17,6 +17,12 @@ unit pivots on ``int`` entries (test_linalg.py).
 The loading references are ``parse_document`` and the validation of
 complexes, orientations, gluing maps and systems as they were before the
 parser and the validators dropped their per-cell overhead (test_loading.py).
+
+The binary Stokes reference is the oriented frontier sum that
+``stokes_defect`` computed for two pieces before it summed over the nerve
+(test_cochains.py).  The re-gluing reference rebuilds the glued cell classes
+by splitting off the last piece and gluing it back along the union of its
+regions (test_adjunction.py).
 """
 
 from __future__ import annotations
@@ -27,21 +33,25 @@ from typing import Any, Mapping, Sequence
 from nonhausdorff import linalg
 from nonhausdorff.adjunction import (
     AdjunctionSystem,
+    ClassKey,
     GluingMap,
     _validate_cocycles,
+    glued_cell_classes,
     normalized_tuples,
+    union_of_regions,
 )
 from nonhausdorff.cells import (
     CellComplex,
     CellSet,
     Orientation,
     closure,
+    equivalence_classes,
     euler_characteristic,
     frontier,
     is_face_closed,
     is_star_closed,
 )
-from nonhausdorff.cochains import GlobalCochain, domain_integral, piece_integral
+from nonhausdorff.cochains import GlobalCochain, boundary_signs, domain_integral, piece_integral
 from nonhausdorff.cohomology import (
     Bicomplex,
     CoreAssignment,
@@ -77,7 +87,7 @@ def closure_intersection_check(system: AdjunctionSystem) -> dict[tuple[int, ...]
     """Per tuple i1<...<im: closure of the intersection equals the
     intersection of the closures, computed in the smallest-index piece."""
     out: dict[tuple[int, ...], bool] = {}
-    for tup in normalized_tuples(system.n(), 2):
+    for tup in normalized_tuples(system.n()):
         ref = tup[0]
         open_members = open_intersection(system, tup).members
         closed_of_open = closure(CellSet.of(system.pieces[ref], open_members)).members
@@ -96,7 +106,7 @@ def resolve_cores(
     it is empty or already closed; containment and nesting are verified."""
     given = assignment.cores if assignment is not None else {}
     resolved: dict[tuple[int, ...], CellSet] = {}
-    for tup in normalized_tuples(system.n(), 2):
+    for tup in normalized_tuples(system.n()):
         domain = open_intersection(system, tup)
         core = given.get(tup)
         if core is None:
@@ -133,7 +143,7 @@ def integrate(w: GlobalCochain) -> Fraction:
     total = Fraction(0)
     for i in range(system.n()):
         total += piece_integral(system, i, w.component(i))
-    for tup in normalized_tuples(system.n(), 2):
+    for tup in normalized_tuples(system.n()):
         domain = closed_intersection(system, tup)
         ref = tup[0]
         total -= (-1) ** len(tup) * domain_integral(system, ref, domain, w.component(ref))
@@ -151,12 +161,12 @@ def build_bicomplex(
         bad = sorted(t for t, ok in closure_intersection_check(system).items() if not ok)
         if bad:
             raise PreconditionError(f"closure-intersection property violated at tuple {bad[0]}")
-        for tup in normalized_tuples(n, 2):
+        for tup in normalized_tuples(n):
             domains[tup] = closed_intersection(system, tup)
     else:
         domains.update(resolve_cores(system, cores))
     columns = [[(i,) for i in range(n)]]
-    columns.extend([t for t in normalized_tuples(n, 2) if len(t) == size] for size in range(2, n + 1))
+    columns.extend([t for t in normalized_tuples(n) if len(t) == size] for size in range(2, n + 1))
     return _assemble(system, flavor, columns, domains)
 
 
@@ -165,6 +175,53 @@ def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | 
     for tup, core in resolve_cores(system, cores).items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
+
+
+# -- binary Stokes and re-gluing ------------------------------------------------
+
+
+def binary_stokes_rhs(w: GlobalCochain) -> Fraction:
+    """Minus the oriented sum of w over the codim-1 frontier cells of the one
+    gluing region of a binary system."""
+    system = w.system
+    if system.n() != 2:
+        raise PreconditionError("binary_stokes_rhs: system is not binary")
+    region = system.region(0, 1)
+    signs = boundary_signs(system, 0, closure(region))
+    rhs = Fraction(0)
+    for cell in frontier(region).sorted_members():
+        if system.pieces[0].dims[cell] == w.degree:
+            rhs -= signs.get(cell, 0) * w.value(0, cell)
+    return rhs
+
+
+def reglue_classes(system: AdjunctionSystem) -> list[ClassKey]:
+    """The glued cell classes, rebuilt from the classes of the first n-1
+    pieces and the map that the union of the last piece's regions induces
+    into them; the map must be single-valued (A3)."""
+    last = system.n() - 1
+    if last < 1:
+        raise PreconditionError("reglue_classes: need at least two pieces")
+    front = AdjunctionSystem(
+        pieces=system.pieces[:last],
+        names=system.names[:last],
+        regions={k: v for k, v in system.regions.items() if k[0] < last and k[1] < last},
+        maps={k: v for k, v in system.maps.items() if k[0] < last and k[1] < last},
+        orientations=system.orientations[:last] if system.orientations else None,
+    )
+    front_classes = glued_cell_classes(front)
+    links = [(cls[0], node) for cls in front_classes.classes for node in cls[1:]]
+    for cell in union_of_regions(system, last, range(last)).sorted_members():
+        seen = [
+            (i, system.cell_map(last, i, cell))
+            for i in range(last)
+            if cell in system.region(last, i).members
+        ]
+        if len({front_classes.class_of(i, c) for i, c in seen}) != 1:
+            raise PreconditionError(f"reglue_classes: induced map multivalued at cell {cell!r}")
+        links.append(((last, cell), min(seen)))
+    nodes = [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
+    return sorted(tuple(sorted(group)) for group in equivalence_classes(nodes, links))
 
 
 # -- exact rank ---------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_criterion_06_inclusion_exclusion_integration(built):
         value = integrate(w)  # carries the internal class-sum cross-check
         # explicit alternating formula, recomputed here
         alt = sum(piece_integral(system, i, w.component(i)) for i in range(system.n()))
-        for tup in normalized_tuples(system.n(), 2):
+        for tup in normalized_tuples(system.n()):
             domain = closed_intersection(system, tup)
             alt -= (-1) ** len(tup) * domain_integral(system, tup[0], domain, w.component(tup[0]))
         assert value == alt, name

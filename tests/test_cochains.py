@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes
+import oracle
+from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes, validate_system
 from nonhausdorff.cells import CellSet, closure
 from nonhausdorff.cochains import (
     Cochain,
@@ -30,7 +31,14 @@ from nonhausdorff.fixtures import (
 )
 from nonhausdorff.refine import subdivide_system, subdivide_top_cochain
 
-from conftest import oriented_copy, random_fraction, random_global_cochain
+from conftest import (
+    HEXAGON_CHAIN,
+    glued_hexagons,
+    oriented_copy,
+    random_fraction,
+    random_global_cochain,
+    torus_pair,
+)
 
 
 def test_coboundary_of_constant_is_zero():
@@ -223,11 +231,49 @@ def test_stokes_defect_clopen_control():
     assert stokes_defect(w) == (0, 0)
 
 
-def test_stokes_defect_rejects_non_binary():
+def test_stokes_defect_rejects_the_path_pieces_of_line_three_origins():
     s = line_three_origins().system
     w = assemble_global(s, [Cochain.of(p.whole_set(), 0, {}) for p in s.pieces])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="is not closed at cell"):
         stokes_defect(w)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: glued_hexagons(3), lambda: glued_hexagons(5), lambda: glued_hexagons(3, HEXAGON_CHAIN)],
+    ids=["hexagons_3", "hexagons_5", "chain_3"],
+)
+def test_stokes_defect_over_the_nerve(build):
+    # three and five hexagons on one arc, and a chain whose pair (0, 2) is
+    # empty: both sides agree, and the defect is not zero
+    s = build().system
+    assert validate_system(s).ok
+    ramp = {f"w{k}": k for k in range(6)}
+    w = assemble_global(s, [Cochain.of(p.whole_set(), 0, ramp) for p in s.pieces])
+    lhs, rhs = stokes_defect(w)
+    assert lhs == rhs
+    assert lhs != 0
+    rng = random.Random(43)
+    for _ in range(5):
+        lhs, rhs = stokes_defect(random_global_cochain(s, 0, rng))
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["glued_circles", "glued_circles_clopen", "glued_tori", "glued_icosahedra", "tori_2", "tori_3", "tori_4"],
+)
+def test_stokes_defect_matches_binary_frontier_sum(built, name):
+    if name.startswith("tori_"):
+        system = torus_pair(int(name[-1])).system
+    else:
+        system = built[name].system
+    rng = random.Random(name)
+    top = system.pieces[0].top_dimension
+    for _ in range(5):
+        w = random_global_cochain(system, top - 1, rng)
+        lhs, rhs = stokes_defect(w)
+        assert lhs == rhs == oracle.binary_stokes_rhs(w)
 
 
 def test_stokes_defect_rejects_pieces_with_boundary():
@@ -316,8 +362,6 @@ def _mirrored_circles():
 
 
 def test_stokes_defect_through_mirrored_gluing():
-    from nonhausdorff.adjunction import validate_system
-
     system = _mirrored_circles()
     assert validate_system(system).ok
     rng = random.Random(41)

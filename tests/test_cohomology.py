@@ -217,11 +217,9 @@ def test_oracle_equivalence_random_clopen_systems():
 def test_cech_differential_binary_block_is_restriction_minus_pullback(built):
     # on the closed flavor the p=0 -> p=1 block sends (w_1, w_2) to
     # w_1|closure - (closure extension pullback of w_2)
-    from nonhausdorff.cohomology import cech_differential
-
     fx = built["line_two_origins"]
-    mat = cech_differential(fx.system, 0, 0, Flavor.CLOSED_INTERSECTION)
     bicx = build_bicomplex(fx.system, Flavor.CLOSED_INTERSECTION, fx.cores)
+    mat = bicx.delta(0, 0)
     col = {bicx.index[(0, 0)][((0,), "v1")]: 1}
     image = apply(mat, col)
     row = bicx.index[(1, 0)][((0, 1), "v1")]

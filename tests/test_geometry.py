@@ -142,7 +142,7 @@ def test_subcomplex_gauss_bonnet_with_boundary():
     # interior defects + boundary turnings = 2 pi chi(subcomplex)
     for fx in (glued_icosahedra(), glued_tori()):
         ledger = curvature_ledger(fx.system, fx.metrics)
-        for tup in normalized_tuples(fx.system.n(), 2):
+        for tup in normalized_tuples(fx.system.n()):
             domain = closed_intersection(fx.system, tup)
             if not domain.members:
                 continue

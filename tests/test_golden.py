@@ -3,9 +3,10 @@
 The expected outputs under tests/golden/ were recorded from the command line
 front end on the shipped fixtures and on generated non-Hausdorff covers (a
 4-spoke hub at spacing 4, the same hub at spacing 2 where the
-closure-intersection property fails, and the 4-origin line).  Each case has a
-top-degree cochain document (for integrate) and one of the degree below (for
-stokes-check).  Re-record only when an output is meant to change:
+closure-intersection property fails, the 4-origin line, and three hexagons
+glued on one open arc).  Each case has a top-degree cochain document (for
+integrate) and one of the degree below (for stokes-check).  Re-record only
+when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -25,7 +26,7 @@ from nonhausdorff import cli
 from nonhausdorff.fixtures import FIXTURE_BUILDERS
 from nonhausdorff.schema import parse_document, serialize_system
 
-from conftest import FIXTURES_DIR, cochain_document, hub_with_spokes, k_origin_line
+from conftest import FIXTURES_DIR, cochain_document, glued_hexagons, hub_with_spokes, k_origin_line
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -33,6 +34,7 @@ GENERATED = {
     "hub_4_spacing_4": lambda: hub_with_spokes(4, 4),
     "hub_4_spacing_2": lambda: hub_with_spokes(4, 2),
     "origins_4": lambda: k_origin_line(4),
+    "hexagons_3": lambda: glued_hexagons(3),
 }
 
 CASES = sorted(FIXTURE_BUILDERS) + sorted(GENERATED)
