@@ -6,6 +6,10 @@ taken in the Alexandrov topology of the face poset: a set is open when it is
 star-closed (contains every coface of each member) and closed when it is
 face-closed.  All values are immutable after construction and every operation
 is a pure function.
+
+The two data classes a system document carries besides its pieces and
+gluings, :class:`CoreAssignment` and :class:`MetricComplex`, are defined here
+too, so that loading a document loads no computation module.
 """
 
 from __future__ import annotations
@@ -110,6 +114,25 @@ class Orientation:
 
     def sign(self, cell: str) -> int:
         return self.signs[cell]
+
+
+@dataclass(eq=False)
+class CoreAssignment:
+    """Per normalized index tuple, a face-closed subcomplex of the open
+    intersection that is declared homotopy-equivalent to it."""
+
+    cores: dict[tuple[int, ...], CellSet] = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class MetricComplex:
+    """A pure 2-dimensional piece together with positive edge lengths."""
+
+    base: CellComplex
+    edge_lengths: Mapping[str, float]
+
+    def length(self, edge: str) -> float:
+        return self.edge_lengths[edge]
 
 
 def validate_complex(c: CellComplex) -> ValidationReport:

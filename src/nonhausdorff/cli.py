@@ -4,7 +4,8 @@ Commands read a system document (JSON), run the requested computation and
 print a human table or, with --json, a machine report.  Exit codes: 0 ok,
 1 validation failure, 2 precondition failure, 3 I/O or parse error.  Every
 command but ``validate`` first requires a valid system; the commands are
-dispatched from the COMMANDS table.
+dispatched from the COMMANDS table.  Each command imports the modules it
+runs when it runs, so a cold start loads only those.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import cohomology, geometry
 from .adjunction import (
     glued_cell_classes,
     hausdorff_pairs,
@@ -23,17 +23,19 @@ from .adjunction import (
     regular_open_check,
     validate_system,
 )
-from .cochains import GlobalCochain, integrate, stokes_defect
-from .cohomology import Flavor
 from .errors import IncompatibleCochainError, PreconditionError, SchemaError, ValidationReport
 from .schema import LoadedSystem, parse_cochain_document, parse_document
+
+if TYPE_CHECKING:
+    from .cochains import GlobalCochain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
 
-FLAVORS = {"dr": Flavor.CLOSED_INTERSECTION, "sing": Flavor.OPEN_CORE}
+# --flavor value -> name of the cohomology.Flavor member
+FLAVORS = {"dr": "CLOSED_INTERSECTION", "sing": "OPEN_CORE"}
 
 
 def _load(path: str) -> LoadedSystem:
@@ -107,6 +109,8 @@ def cmd_validate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -
         lines.append(f"  closure-intersection: {payload['closure_intersection']}")
         lines.append(f"  regular-open: {payload['regular_open']}")
         if loaded.metrics is not None:
+            from . import geometry
+
             metric_report = geometry.validate_metric(loaded.system, loaded.metrics)
             payload["metric_valid"] = metric_report.ok
             payload["issues"].extend(_issues(metric_report))
@@ -157,8 +161,11 @@ def cmd_hausdorff(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) 
 
 
 def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    from . import cohomology
+
     flavor_key = args.flavor
-    bicx = cohomology.build_bicomplex(loaded.system, FLAVORS[flavor_key], loaded.cores)
+    flavor = cohomology.Flavor[FLAVORS[flavor_key]]
+    bicx = cohomology.build_bicomplex(loaded.system, flavor, loaded.cores)
     values = cohomology.total_betti(bicx)
     display = cohomology.trim_trailing_zeros(values)
     display += [0] * (bicx.max_q + 1 - len(display))
@@ -168,8 +175,10 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
 
 
 def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    from . import cohomology
+
     chi = cohomology.euler_inclusion_exclusion(loaded.system, loaded.cores)
-    bicx = cohomology.build_bicomplex(loaded.system, Flavor.OPEN_CORE, loaded.cores)
+    bicx = cohomology.build_bicomplex(loaded.system, cohomology.Flavor.OPEN_CORE, loaded.cores)
     betti_open = cohomology.total_betti(bicx)
     alternating = sum((-1) ** q * b for q, b in enumerate(betti_open))
     payload = {
@@ -188,14 +197,18 @@ def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
 
 
 def cmd_integrate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
-    value = integrate(_load_cochain(loaded, args.cochain))
+    from . import cochains
+
+    value = cochains.integrate(_load_cochain(loaded, args.cochain))
     payload = {"integral": str(value)}
     out.emit(_report("integrate", "ok", payload, []), f"integral = {value}")
     return EXIT_OK
 
 
 def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
-    lhs, rhs = stokes_defect(_load_cochain(loaded, args.cochain))
+    from . import cochains
+
+    lhs, rhs = cochains.stokes_defect(_load_cochain(loaded, args.cochain))
     payload = {"integral_of_dw": str(lhs), "minus_frontier_integral": str(rhs), "equal": lhs == rhs}
     human = (
         f"integral of dw over the glued space = {lhs}\n"
@@ -207,8 +220,11 @@ def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace, out: _Outpu
 
 
 def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    from . import cohomology
+
     flavor_key = args.flavor
-    report = cohomology.mv_report(loaded.system, FLAVORS[flavor_key], loaded.cores)
+    flavor = cohomology.Flavor[FLAVORS[flavor_key]]
+    report = cohomology.mv_report(loaded.system, flavor, loaded.cores)
     payload = {
         "flavor": flavor_key,
         "rows": [
@@ -241,6 +257,8 @@ def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) 
 
 
 def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+    from . import cohomology
+
     report = cohomology.de_rham_compare(loaded.system, loaded.cores)
     dr = cohomology.trim_trailing_zeros(report.de_rham)
     sing = cohomology.trim_trailing_zeros(report.singular)
@@ -276,6 +294,8 @@ def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) ->
 def cmd_gauss_bonnet(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
     if loaded.metrics is None:
         raise PreconditionError("gauss-bonnet: document carries no edge lengths")
+    from . import geometry
+
     report = geometry.gauss_bonnet_report(loaded.system, loaded.metrics, loaded.cores)
     payload = {
         "chi": report.chi,

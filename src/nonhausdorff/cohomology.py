@@ -16,11 +16,14 @@ matrix assembled here has entries +-1 (or their sums), stored as ``int``, so
 assembly, the d-d checks and the unit-pivot elimination behind the rank run
 on integers; a ``Fraction`` appears only if elimination meets a row without
 a +-1 entry.
+
+:class:`CoreAssignment` is defined in :mod:`cells`, so that loading a document
+does not load this module, and is re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -32,7 +35,7 @@ from .adjunction import (
     regular_open_check,
     union_of_regions,
 )
-from .cells import CellSet, euler_characteristic, interior, closure, is_face_closed
+from .cells import CellSet, CoreAssignment, euler_characteristic, interior, closure, is_face_closed
 from .errors import PreconditionError
 from .linalg import Mat
 
@@ -111,14 +114,6 @@ def complex_betti(c) -> list[int]:
 
 
 # -- cores -------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class CoreAssignment:
-    """Per normalized index tuple, a face-closed subcomplex of the open
-    intersection that is declared homotopy-equivalent to it."""
-
-    cores: dict[tuple[int, ...], CellSet] = field(default_factory=dict)
 
 
 def resolve_cores(

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .adjunction import AdjunctionSystem
-from .cells import CellComplex, CellSet, Orientation, closure
-from .cohomology import CoreAssignment
-from .geometry import MetricComplex
+from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, Orientation, closure
+from .errors import InvariantError
 from .schema import serialize_system
 
 
@@ -177,7 +176,8 @@ def icosahedron_faces() -> list[tuple[str, str, str]]:
         for a, b, c in itertools.combinations(range(12), 3)
         if b in adj[a] and c in adj[a] and c in adj[b]
     ]
-    assert len(faces) == 20
+    if len(faces) != 20:
+        raise InvariantError(f"icosahedron has {len(faces)} faces, expected 20")
     return orient_faces(faces)
 
 

@@ -6,31 +6,23 @@ interior to it, and the geodesic-curvature counterterm along a frontier cycle
 is pi minus the interior angle sum at each boundary vertex.  These choices
 make the glued Gauss-Bonnet ledger an exact identity up to float roundoff;
 this is the only module that uses floating point, with a 1e-9 budget.
+
+:class:`MetricComplex` is defined in :mod:`cells`, so that loading a document
+does not load this module, and is re-exported here.  The Euler characteristic
+comes from :mod:`cohomology`, which only the Gauss-Bonnet report loads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .adjunction import AdjunctionSystem, ClassKey, glued_cell_classes, nerve, normalized_tuples
-from .cells import CellComplex, CellSet, closure, star
-from .cohomology import CoreAssignment, euler_inclusion_exclusion
+from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, closure, star
 from .errors import InvariantError, PreconditionError, ValidationReport
 
 ANGLE_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class MetricComplex:
-    """A pure 2-dimensional piece together with positive edge lengths."""
-
-    base: CellComplex
-    edge_lengths: Mapping[str, float]
-
-    def length(self, edge: str) -> float:
-        return self.edge_lengths[edge]
 
 
 def _triangle_corners(mc: MetricComplex, triangle: str) -> dict[str, tuple[str, str, str]]:
@@ -265,6 +257,8 @@ def gauss_bonnet_report(
     """lhs = 2*pi*chi (chi by inclusion-exclusion over cores); rhs assembles
     the inclusion-exclusion of angle defects plus the alternating
     turning-angle counterterms.  The contract is |lhs - rhs| <= 1e-9."""
+    from .cohomology import euler_inclusion_exclusion
+
     ledger = curvature_ledger(system, metrics)
     chi = euler_inclusion_exclusion(system, cores)
     lhs = 2.0 * math.pi * chi

@@ -13,9 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .adjunction import AdjunctionSystem, GluingMap
-from .cells import CellComplex, CellSet, Orientation
+from .cells import CellComplex, CellSet, CoreAssignment, Orientation
 from .cochains import Cochain, GlobalCochain, assemble_global
-from .cohomology import CoreAssignment
 from .errors import PreconditionError
 
 

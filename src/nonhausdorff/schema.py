@@ -10,21 +10,22 @@ Parsing is one pass over the document.  Inside the loops over entries
 (cells, faces, pairs, signs, lengths, cochain values) each check is an
 inline test, and the field name and message are formatted only when it
 fails.  Each piece's complex is built from the dicts the pass makes.
+Only cochain documents need :mod:`cochains` and ``Fraction``, so
+:func:`parse_cochain_document` imports them itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from .adjunction import AdjunctionSystem
-from .cells import CellComplex, CellSet, Orientation
-from .cochains import Cochain, GlobalCochain, assemble_global
-from .cohomology import CoreAssignment
+from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, Orientation
 from .errors import SchemaError
-from .geometry import MetricComplex
+
+if TYPE_CHECKING:
+    from .cochains import GlobalCochain
 
 SCHEMA_VERSION = "1"
 
@@ -300,6 +301,10 @@ def _decimal(value: float) -> str:
 
 
 def parse_cochain_document(doc: Any, system: AdjunctionSystem, names: list[str]) -> GlobalCochain:
+    from fractions import Fraction
+
+    from .cochains import Cochain, assemble_global
+
     root = _as_map(doc, "$")
     version = root.get("schema_version")
     _expect(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
