@@ -67,9 +67,13 @@ class FreeComplex:
 
 def betti(fc: FreeComplex) -> list[int]:
     """b_q = dim ker(d_q) - rank(d_{q-1}), by exact elimination."""
+    return _betti_from_ranks([fc.dim(q) for q in range(len(fc.bases))], _checked_ranks(fc))
+
+
+def _checked_ranks(fc: FreeComplex) -> dict[int, int]:
+    """The rank of each differential, after checking d∘d = 0."""
     fc.validate()
-    ranks = {q: m.rank() for q, m in enumerate(fc.maps)}
-    return _betti_from_ranks([fc.dim(q) for q in range(len(fc.bases))], ranks)
+    return {q: m.rank() for q, m in enumerate(fc.maps)}
 
 
 def _betti_from_ranks(dims: list[int], ranks: dict[int, int]) -> list[int]:
@@ -100,11 +104,12 @@ def complex_free_complex(c) -> FreeComplex:
     indexes = [{cell: k for k, cell in enumerate(b)} for b in bases]
     maps: list[Mat] = []
     for q in range(max_q):
-        mat = Mat.zeros(len(bases[q + 1]), len(bases[q]))
-        for row, cell in enumerate(bases[q + 1]):
-            for face, sign in c.faces_of(cell).items():
-                mat.add_to(row, indexes[q][face], sign)
-        maps.append(mat)
+        col = indexes[q]
+        rows = [
+            {col[face]: sign for face, sign in c.faces_of(cell).items() if sign}
+            for cell in bases[q + 1]
+        ]
+        maps.append(Mat(len(bases[q + 1]), len(bases[q]), rows))
     return FreeComplex(bases, maps)
 
 
@@ -204,11 +209,6 @@ class Bicomplex:
     def dim(self, p: int, q: int) -> int:
         return len(self.bases.get((p, q), []))
 
-    def d(self, p: int, q: int) -> Mat:
-        """d out of (p, q); outside the grid, the zero map with an empty side."""
-        mat = self.vertical.get((p, q))
-        return mat if mat is not None else Mat.zeros(self.dim(p, q + 1), self.dim(p, q))
-
     def delta(self, p: int, q: int) -> Mat:
         """delta out of (p, q); in the last column, the zero map to nothing."""
         mat = self.horizontal.get((p, q))
@@ -260,27 +260,30 @@ class Bicomplex:
                 labels.extend((p, q, lab) for lab in self.bases.get((p, q), []))
             bases.append(labels)
             offsets.append(off)
+        # Each source block owns a column range, so no two blocks write the
+        # same entry: every entry is a nonzero block entry, shifted and signed.
         maps: list[Mat] = []
         for n in range(top):
-            mat = Mat.zeros(len(bases[n + 1]), len(bases[n]))
+            rows: list[dict] = [{} for _ in bases[n + 1]]
             for (p, q), src_off in offsets[n].items():
-                ncols_block = self.dim(p, q)
-                if ncols_block == 0:
+                if self.dim(p, q) == 0:
                     continue
                 horiz = self.horizontal.get((p, q))
                 if horiz is not None and (p + 1, q) in offsets[n + 1]:
                     row_off = offsets[n + 1][(p + 1, q)]
-                    for r, row in enumerate(horiz.rows):
+                    for r, row in enumerate(horiz.rows, row_off):
+                        target = rows[r]
                         for c, v in row.items():
-                            mat.add_to(row_off + r, src_off + c, v)
+                            target[src_off + c] = v
                 vert = self.vertical.get((p, q))
                 if vert is not None and (p, q + 1) in offsets[n + 1]:
                     row_off = offsets[n + 1][(p, q + 1)]
                     sign = (-1) ** p
-                    for r, row in enumerate(vert.rows):
+                    for r, row in enumerate(vert.rows, row_off):
+                        target = rows[r]
                         for c, v in row.items():
-                            mat.add_to(row_off + r, src_off + c, sign * v)
-            maps.append(mat)
+                            target[src_off + c] = sign * v
+            maps.append(Mat(len(bases[n + 1]), len(bases[n]), rows))
         return FreeComplex(bases, maps)
 
 
@@ -367,38 +370,42 @@ def _assemble(
             bases[(p, q)] = labels
             index[(p, q)] = {lab: k for k, lab in enumerate(labels)}
 
+    # A row's entries sit in distinct columns: distinct faces of one cell in
+    # d, distinct sub-tuples in delta.  So each row is written directly,
+    # leaving out only zero incidence signs.
     vertical: dict[tuple[int, int], Mat] = {}
-    for p, tuples in enumerate(tuples_by_p):
+    for p in range(len(tuples_by_p)):
         for q in range(max_q):
-            mat = Mat.zeros(len(bases[(p, q + 1)]), len(bases[(p, q)]))
             col_index = index[(p, q)]
-            for row, (tup, cell) in enumerate(bases[(p, q + 1)]):
-                ref = tup[0]
-                domain = domains[tup]
-                for face, sign in system.pieces[ref].faces_of(cell).items():
-                    if face in domain.members:
-                        mat.add_to(row, col_index[(tup, face)], sign)
-            vertical[(p, q)] = mat
+            rows: list[dict] = []
+            for tup, cell in bases[(p, q + 1)]:
+                members = domains[tup].members
+                row: dict = {}
+                for face, sign in system.pieces[tup[0]].faces_of(cell).items():
+                    if sign and face in members:
+                        row[col_index[(tup, face)]] = sign
+                rows.append(row)
+            vertical[(p, q)] = Mat(len(rows), len(bases[(p, q)]), rows)
 
     horizontal: dict[tuple[int, int], Mat] = {}
     for p in range(len(tuples_by_p) - 1):
         for q in range(max_q + 1):
-            mat = Mat.zeros(len(bases[(p + 1, q)]), len(bases[(p, q)]))
             col_index = index[(p, q)]
-            for row, (tup, cell) in enumerate(bases[(p + 1, q)]):
+            rows = []
+            for tup, cell in bases[(p + 1, q)]:
+                row = {}
                 for alpha in range(len(tup)):
                     sub = tup[:alpha] + tup[alpha + 1 :]
-                    sign = (-1) ** (alpha + 1)
                     try:
                         moved = _domain_transport(system, flavor, tup, cell, sub[0])
-                        col = col_index[(sub, moved)]
+                        row[col_index[(sub, moved)]] = (-1) ** (alpha + 1)
                     except KeyError as exc:
                         raise PreconditionError(
                             f"restriction from tuple {sub} to {tup} undefined at cell "
                             f"{cell!r}: missing containment"
                         ) from exc
-                    mat.add_to(row, col, sign)
-            horizontal[(p, q)] = mat
+                rows.append(row)
+            horizontal[(p, q)] = Mat(len(rows), len(bases[(p, q)]), rows)
 
     return Bicomplex(
         flavor=flavor,
@@ -534,15 +541,22 @@ def mv_report(
     and the derived dimension; the alternating sum of all dims must vanish.
 
     With A the column of pieces, B the column of the domain, d_A and d_B
-    their vertical maps and f = delta_q the chain map A^q -> B^q,
-    rank f_* = rank [[delta_q, d_B^{q-1}], [d_A^q, 0]] - rank d_A^q - rank d_B^{q-1}.
-    The column Betti numbers come from the same ranks of d_A and d_B.
+    their vertical maps and f = delta_q the chain map A^q -> B^q, the total
+    differential out of degree q, on A^q + B^{q-1}, is the mapping cone of f:
+    D_q = [[d_A^q, 0], [delta_q, -d_B^{q-1}]].  Up to the order of its block
+    rows and the sign of its B column block, which leave the rank alone, it
+    is the matrix [[delta_q, d_B^{q-1}], [d_A^q, 0]] whose rank gives f_*, so
+    rank f_* = rank D_q - rank d_A^q - rank d_B^{q-1}.
+    The ranks of D_q also give the total Betti numbers, and the ranks of d_A
+    and d_B the column Betti numbers, so each matrix is ranked once.
     """
     if system.n() != 2:
         raise PreconditionError("mv_report: system is not binary")
     bicx = build_bicomplex(system, flavor, cores)
-    # total_betti checks D^2 = 0, i.e. d^2 = 0, delta^2 = 0 and d delta = delta d
-    h_total = total_betti(bicx)
+    total = bicx.total_complex()
+    # raises unless D^2 = 0, i.e. d^2 = 0, delta^2 = 0 and d delta = delta d
+    rank_total = _checked_ranks(total)
+    h_total = _betti_from_ranks([total.dim(q) for q in range(len(total.bases))], rank_total)
     # one degree past the columns: the connecting map out of B^{max_q} lands there
     degrees = range(len(h_total))
     rank_a = {q: bicx.vertical[(0, q)].rank() for q in range(bicx.max_q)}
@@ -550,10 +564,7 @@ def mv_report(
     h_a = _betti_from_ranks([bicx.dim(0, q) for q in degrees], rank_a)
     h_b = _betti_from_ranks([bicx.dim(1, q) for q in degrees], rank_b)
     rank_f = [
-        _stacked_rank([bicx.delta(0, q), bicx.d(1, q - 1)], [bicx.d(0, q)])
-        - rank_a.get(q, 0)
-        - rank_b.get(q - 1, 0)
-        for q in degrees
+        rank_total.get(q, 0) - rank_a.get(q, 0) - rank_b.get(q - 1, 0) for q in degrees
     ]
     rows: list[MVRow] = []
     for q in degrees:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .adjunction import AdjunctionSystem, ClassKey, glued_cell_classes, nerve, normalized_tuples
-from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, closure, star
+from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, star
 from .errors import InvariantError, PreconditionError, ValidationReport
 
 ANGLE_TOLERANCE = 1e-9
@@ -164,7 +164,6 @@ class CurvatureLedger:
     tuple_interior_totals: dict[tuple[int, ...], float]
     turning_angles: dict[tuple[int, ...], dict[str, float]]
     tuple_turning_totals: dict[tuple[int, ...], float]
-    pair_side_turnings: dict[tuple[int, int], dict[str, float]]
 
 
 def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> CurvatureLedger:
@@ -208,16 +207,6 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
         turning_angles[tup] = turnings
         tuple_turning_totals[tup] = sum(turnings.values())
 
-    pair_side_turnings: dict[tuple[int, int], dict[str, float]] = {}
-    for (i, j) in system.ordered_pairs():
-        side_domain = closure(system.region(i, j))
-        inside = _interior_vertices(system.pieces[i], side_domain)
-        sums = _domain_angle_sums(metrics[i], side_domain)
-        pair_side_turnings[(i, j)] = {
-            v: math.pi - sums[v]
-            for v in sorted(side_domain.members_of_dim(0))
-            if v not in inside
-        }
     return CurvatureLedger(
         class_defects=class_defects,
         piece_defects=piece_defects,
@@ -225,7 +214,6 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
         tuple_interior_totals=tuple_interior_totals,
         turning_angles=turning_angles,
         tuple_turning_totals=tuple_turning_totals,
-        pair_side_turnings=pair_side_turnings,
     )
 
 

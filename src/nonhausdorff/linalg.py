@@ -62,12 +62,20 @@ class Mat:
                 f"matmul: a {self.nrows}x{self.ncols} matrix cannot multiply a "
                 f"{other.nrows}x{other.ncols} one"
             )
-        out = Mat.zeros(self.nrows, other.ncols)
-        for r in range(self.nrows):
-            for k, a in self.rows[r].items():
-                for c, b in other.rows[k].items():
-                    out.add_to(r, c, a * b)
-        return out
+        right = other.rows
+        out: list[Vec] = []
+        for row in self.rows:
+            acc: Vec = {}
+            get = acc.get
+            for k, a in row.items():
+                for c, b in right[k].items():
+                    value = get(c, 0) + a * b
+                    if value:
+                        acc[c] = value
+                    else:
+                        acc.pop(c, None)
+            out.append(acc)
+        return Mat(self.nrows, other.ncols, out)
 
     def rank(self) -> int:
         return _rank(self.rows)

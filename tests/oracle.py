@@ -2,8 +2,13 @@
 
 The tuple walks visit all 2^n - n - 1 normalized piece tuples, empty
 intersections included, as the library did before it enumerated the nerve of
-the cover (test_nerve.py).  The reference bicomplex shares only the matrix
-assembly with the library.
+the cover (test_nerve.py).  The reference bicomplex is assembled by the
+reference assembly below.
+
+The sparse-assembly references are ``Mat.matmul``, ``Bicomplex.total_complex``
+and the bicomplex assembly as they were before they built each row in a local
+dict: one ``Mat.add_to`` call per entry, which drops a sum as soon as it is
+zero (test_rank_cohomology.py).
 
 The fibre-product and Mayer-Vietoris references compute with explicit bases,
 as the library did before it reduced both to ranks (test_rank_cohomology.py):
@@ -59,7 +64,7 @@ from nonhausdorff.cohomology import (
     FreeComplex,
     MVReport,
     MVRow,
-    _assemble,
+    _domain_transport,
     betti,
     build_bicomplex as library_bicomplex,
     total_betti,
@@ -167,7 +172,7 @@ def build_bicomplex(
         domains.update(resolve_cores(system, cores))
     columns = [[(i,) for i in range(n)]]
     columns.extend([t for t in normalized_tuples(n) if len(t) == size] for size in range(2, n + 1))
-    return _assemble(system, flavor, columns, domains)
+    return assemble(system, flavor, columns, domains)
 
 
 def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | None) -> int:
@@ -222,6 +227,110 @@ def reglue_classes(system: AdjunctionSystem) -> list[ClassKey]:
         links.append(((last, cell), min(seen)))
     nodes = [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
     return sorted(tuple(sorted(group)) for group in equivalence_classes(nodes, links))
+
+
+# -- sparse assembly -------------------------------------------------------------
+
+
+def matmul(left: Mat, right: Mat) -> Mat:
+    """left @ right, one ``add_to`` per product term."""
+    out = Mat.zeros(left.nrows, right.ncols)
+    for r in range(left.nrows):
+        for k, a in left.rows[r].items():
+            for c, b in right.rows[k].items():
+                out.add_to(r, c, a * b)
+    return out
+
+
+def total_complex(bicx: Bicomplex) -> FreeComplex:
+    """Single complex with degree p+q and differential delta + (-1)^p d."""
+    top = bicx.columns() - 1 + bicx.max_q
+    bases: list[list] = []
+    offsets: list[dict[tuple[int, int], int]] = []
+    for n in range(top + 1):
+        labels: list = []
+        off: dict[tuple[int, int], int] = {}
+        for p in range(bicx.columns()):
+            q = n - p
+            if q < 0 or q > bicx.max_q:
+                continue
+            off[(p, q)] = len(labels)
+            labels.extend((p, q, lab) for lab in bicx.bases.get((p, q), []))
+        bases.append(labels)
+        offsets.append(off)
+    maps: list[Mat] = []
+    for n in range(top):
+        mat = Mat.zeros(len(bases[n + 1]), len(bases[n]))
+        for (p, q), src_off in offsets[n].items():
+            if bicx.dim(p, q) == 0:
+                continue
+            horiz = bicx.horizontal.get((p, q))
+            if horiz is not None and (p + 1, q) in offsets[n + 1]:
+                row_off = offsets[n + 1][(p + 1, q)]
+                for r, row in enumerate(horiz.rows):
+                    for c, v in row.items():
+                        mat.add_to(row_off + r, src_off + c, v)
+            vert = bicx.vertical.get((p, q))
+            if vert is not None and (p, q + 1) in offsets[n + 1]:
+                row_off = offsets[n + 1][(p, q + 1)]
+                sign = (-1) ** p
+                for r, row in enumerate(vert.rows):
+                    for c, v in row.items():
+                        mat.add_to(row_off + r, src_off + c, sign * v)
+        maps.append(mat)
+    return FreeComplex(bases, maps)
+
+
+def assemble(
+    system: AdjunctionSystem,
+    flavor: Flavor,
+    tuples_by_p: list[list[tuple[int, ...]]],
+    domains: dict[tuple[int, ...], CellSet],
+) -> Bicomplex:
+    """The grid of cochain spaces on ``domains`` and its two differentials."""
+    max_q = max(piece.top_dimension for piece in system.pieces)
+    bases: dict[tuple[int, int], list] = {}
+    index: dict[tuple[int, int], dict] = {}
+    for p, tuples in enumerate(tuples_by_p):
+        for q in range(max_q + 1):
+            labels: list = []
+            for tup in tuples:
+                labels.extend((tup, cell) for cell in domains[tup].members_of_dim(q))
+            bases[(p, q)] = labels
+            index[(p, q)] = {lab: k for k, lab in enumerate(labels)}
+
+    vertical: dict[tuple[int, int], Mat] = {}
+    for p in range(len(tuples_by_p)):
+        for q in range(max_q):
+            mat = Mat.zeros(len(bases[(p, q + 1)]), len(bases[(p, q)]))
+            col_index = index[(p, q)]
+            for row, (tup, cell) in enumerate(bases[(p, q + 1)]):
+                domain = domains[tup]
+                for face, sign in system.pieces[tup[0]].faces_of(cell).items():
+                    if face in domain.members:
+                        mat.add_to(row, col_index[(tup, face)], sign)
+            vertical[(p, q)] = mat
+
+    horizontal: dict[tuple[int, int], Mat] = {}
+    for p in range(len(tuples_by_p) - 1):
+        for q in range(max_q + 1):
+            mat = Mat.zeros(len(bases[(p + 1, q)]), len(bases[(p, q)]))
+            col_index = index[(p, q)]
+            for row, (tup, cell) in enumerate(bases[(p + 1, q)]):
+                for alpha in range(len(tup)):
+                    sub = tup[:alpha] + tup[alpha + 1 :]
+                    try:
+                        moved = _domain_transport(system, flavor, tup, cell, sub[0])
+                        col = col_index[(sub, moved)]
+                    except KeyError as exc:
+                        raise PreconditionError(
+                            f"restriction from tuple {sub} to {tup} undefined at cell "
+                            f"{cell!r}: missing containment"
+                        ) from exc
+                    mat.add_to(row, col, (-1) ** (alpha + 1))
+            horizontal[(p, q)] = mat
+
+    return Bicomplex(flavor, system, tuples_by_p, domains, max_q, bases, index, vertical, horizontal)
 
 
 # -- exact rank ---------------------------------------------------------------
