@@ -123,12 +123,19 @@ def _require_closed_surfaces(system: AdjunctionSystem) -> None:
                 )
 
 
-def _piece_angle_sums(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> list[dict[str, float]]:
+def _piece_angles(metrics: Sequence[MetricComplex]) -> list[dict[str, dict[str, float]]]:
+    """triangle -> corner angles, per piece; each triangle is measured once."""
+    return [{tri: corner_angles(mc, tri) for tri in mc.base.cells_of_dim(2)} for mc in metrics]
+
+
+def _piece_angle_sums(
+    metrics: Sequence[MetricComplex], angles: Sequence[dict[str, dict[str, float]]]
+) -> list[dict[str, float]]:
     sums: list[dict[str, float]] = []
-    for idx, mc in enumerate(metrics):
+    for mc, piece_angles in zip(metrics, angles):
         acc = {v: 0.0 for v in mc.base.cells_of_dim(0)}
-        for tri in mc.base.cells_of_dim(2):
-            for v, angle in corner_angles(mc, tri).items():
+        for corners in piece_angles.values():
+            for v, angle in corners.items():
                 acc[v] += angle
         sums.append(acc)
     return sums
@@ -142,12 +149,10 @@ def _interior_vertices(piece: CellComplex, domain: CellSet) -> set[str]:
     return out
 
 
-def _domain_angle_sums(
-    mc: MetricComplex, domain: CellSet
-) -> dict[str, float]:
+def _domain_angle_sums(piece_angles: dict[str, dict[str, float]], domain: CellSet) -> dict[str, float]:
     acc = {v: 0.0 for v in domain.members_of_dim(0)}
     for tri in domain.members_of_dim(2):
-        for v, angle in corner_angles(mc, tri).items():
+        for v, angle in piece_angles[tri].items():
             if v in acc:
                 acc[v] += angle
     return acc
@@ -174,7 +179,8 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
     outside the nerve have an empty domain and zero totals."""
     validate_metric(system, metrics).require("curvature_ledger")
     _require_closed_surfaces(system)
-    angle_sums = _piece_angle_sums(system, metrics)
+    angles = _piece_angles(metrics)
+    angle_sums = _piece_angle_sums(metrics, angles)
 
     piece_defects: list[dict[str, float]] = []
     for idx in range(system.n()):
@@ -198,7 +204,7 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
             continue
         inside = _interior_vertices(system.pieces[ref], domain)
         tuple_interior_totals[tup] = sum(piece_defects[ref][v] for v in sorted(inside))
-        inside_sums = _domain_angle_sums(metrics[ref], domain)
+        inside_sums = _domain_angle_sums(angles[ref], domain)
         turnings = {
             v: math.pi - inside_sums[v]
             for v in sorted(domain.members_of_dim(0))

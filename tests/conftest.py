@@ -11,6 +11,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -68,9 +69,14 @@ def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
 
-def random_global_cochain(system: AdjunctionSystem, degree: int, rng: random.Random) -> GlobalCochain:
+def random_global_cochain(
+    system: AdjunctionSystem,
+    degree: int,
+    rng: random.Random,
+    value: Callable[[random.Random], Fraction] = random_fraction,
+) -> GlobalCochain:
     """A random cochain satisfying the fibre-product compatibility, frontier
-    agreement included: one random value per identification class."""
+    agreement included: one value drawn by ``value`` per identification class."""
     classes = glued_cell_classes(system)
     parent = list(range(len(classes)))
 
@@ -99,7 +105,7 @@ def random_global_cochain(system: AdjunctionSystem, degree: int, rng: random.Ran
         for cell in piece.cells_of_dim(degree):
             root = find(classes.index[(k, cell)])
             if root not in values:
-                values[root] = random_fraction(rng)
+                values[root] = value(rng)
             comp[cell] = values[root]
         components.append(Cochain.of(piece.whole_set(), degree, comp))
     return assemble_global(system, components, degree)

@@ -23,6 +23,12 @@ The loading references are ``parse_document`` and the validation of
 complexes, orientations, gluing maps and systems as they were before the
 parser and the validators dropped their per-cell overhead (test_loading.py).
 
+The Fraction cochain references are ``coboundary``, ``assemble_global``,
+``integrate`` and ``stokes_defect`` as they were before the library moved
+them onto integer numerators over one common denominator: one ``Fraction``
+operation per cell, and the class sum over ``glued_cell_classes``
+(test_cochain_kernel.py).
+
 The binary Stokes reference is the oriented frontier sum that
 ``stokes_defect`` computed for two pieces before it summed over the nerve
 (test_cochains.py).  The re-gluing reference rebuilds the glued cell classes
@@ -42,6 +48,7 @@ from nonhausdorff.adjunction import (
     GluingMap,
     _validate_cocycles,
     glued_cell_classes,
+    nerve,
     normalized_tuples,
     union_of_regions,
 )
@@ -56,7 +63,14 @@ from nonhausdorff.cells import (
     is_face_closed,
     is_star_closed,
 )
-from nonhausdorff.cochains import GlobalCochain, boundary_signs, domain_integral, piece_integral
+from nonhausdorff.cochains import (
+    Cochain,
+    GlobalCochain,
+    _require_oriented_top,
+    boundary_signs,
+    domain_integral,
+    piece_integral,
+)
 from nonhausdorff.cohomology import (
     Bicomplex,
     CoreAssignment,
@@ -69,7 +83,13 @@ from nonhausdorff.cohomology import (
     build_bicomplex as library_bicomplex,
     total_betti,
 )
-from nonhausdorff.errors import PreconditionError, SchemaError, ValidationReport
+from nonhausdorff.errors import (
+    IncompatibleCochainError,
+    InvariantError,
+    PreconditionError,
+    SchemaError,
+    ValidationReport,
+)
 from nonhausdorff.geometry import MetricComplex
 from nonhausdorff.linalg import Mat, Vec, independent_columns, solve_columns
 from nonhausdorff.schema import SCHEMA_VERSION, LoadedSystem
@@ -198,6 +218,118 @@ def binary_stokes_rhs(w: GlobalCochain) -> Fraction:
         if system.pieces[0].dims[cell] == w.degree:
             rhs -= signs.get(cell, 0) * w.value(0, cell)
     return rhs
+
+
+# -- Fraction cochain arithmetic -------------------------------------------------
+
+
+def fraction_coboundary(w: Cochain) -> Cochain:
+    """(dw)(c) = sum over faces f of c of incidence(c,f) * w(f), one Fraction
+    operation per face."""
+    if not (is_face_closed(w.owner) or is_star_closed(w.owner)):
+        raise PreconditionError("coboundary: owner is neither face-closed nor star-closed")
+    complex_ = w.owner.owner
+    out: dict[str, Fraction] = {}
+    for cell in w.owner.members_of_dim(w.degree + 1):
+        total = Fraction(0)
+        for face, sign in complex_.faces_of(cell).items():
+            if face in w.owner.members:
+                total += sign * w.value(face)
+        if total:
+            out[cell] = total
+    return Cochain(w.owner, w.degree + 1, out)
+
+
+def fraction_assemble_global(
+    system: AdjunctionSystem, components: Sequence[Cochain], degree: int | None = None
+) -> GlobalCochain:
+    """Fibre-product compatibility compared value by value as Fractions."""
+    if len(components) != system.n():
+        raise PreconditionError("assemble_global: need one cochain per piece")
+    degrees = {w.degree for w in components}
+    if degree is not None:
+        degrees.add(degree)
+    if len(degrees) != 1:
+        raise PreconditionError(f"assemble_global: mixed degrees {sorted(degrees)}")
+    q = degrees.pop()
+    for idx, w in enumerate(components):
+        if w.owner.owner is not system.pieces[idx]:
+            raise PreconditionError(f"assemble_global: component {idx} lives on the wrong piece")
+        if w.owner.members != frozenset(system.pieces[idx].dims):
+            raise PreconditionError(f"assemble_global: component {idx} must cover its whole piece")
+    for (i, j) in system.ordered_pairs():
+        if i >= j:
+            continue
+        gm = system.gluing(i, j)
+        if gm is None:
+            continue
+        domain = closure(system.region(i, j))
+        for cell in domain.members_of_dim(q):
+            image = gm.closure_forward[cell]
+            left = components[i].value(cell)
+            right = components[j].value(image)
+            if left != right:
+                raise IncompatibleCochainError(
+                    (i, cell),
+                    (j, image),
+                    f"components disagree: piece {system.names[i]} cell {cell!r} = {left} "
+                    f"but piece {system.names[j]} cell {image!r} = {right}",
+                )
+    return GlobalCochain(system, q, tuple(components))
+
+
+def fraction_integrate(w: GlobalCochain) -> Fraction:
+    """Inclusion-exclusion over the nerve with Fraction sums, cross-checked
+    against the class sum over ``glued_cell_classes``."""
+    system = w.system
+    _require_oriented_top(system, w.degree)
+    total = Fraction(0)
+    for i in range(system.n()):
+        total += piece_integral(system, i, w.component(i))
+    for entry in nerve(system):
+        ref = entry.tup[0]
+        value = domain_integral(system, ref, entry.closed, w.component(ref))
+        total -= (-1) ** len(entry.tup) * value
+    check = fraction_class_sum(w)
+    if total != check:
+        raise InvariantError(f"integrate: inclusion-exclusion {total} != class sum {check}")
+    return total
+
+
+def fraction_class_sum(w: GlobalCochain) -> Fraction:
+    system = w.system
+    classes = glued_cell_classes(system)
+    top = system.pieces[0].top_dimension
+    total = Fraction(0)
+    for key in classes.classes:
+        i, cell = key[0]
+        if system.pieces[i].dims[cell] != top:
+            continue
+        total += system.orientations[i].sign(cell) * w.value(i, cell)
+    return total
+
+
+def fraction_stokes_defect(w: GlobalCochain) -> tuple[Fraction, Fraction]:
+    """Both sides of the Stokes defect: the Fraction integral of the assembled
+    Fraction coboundary, and the nerve sum of boundary signs times w."""
+    system = w.system
+    top = _require_oriented_top(system, w.degree + 1)
+    for idx, piece in enumerate(system.pieces):
+        for cell in piece.cells_of_dim(top - 1):
+            carriers = [t for t in piece.cofaces_of(cell) if piece.dims[t] == top]
+            if len(carriers) != 2:
+                raise PreconditionError(
+                    f"stokes_defect: piece {system.names[idx]} is not closed at cell {cell!r}"
+                )
+    dw = fraction_assemble_global(system, [fraction_coboundary(comp) for comp in w.components])
+    lhs = fraction_integrate(dw)
+    rhs = Fraction(0)
+    for entry in nerve(system):
+        ref = entry.tup[0]
+        signs = boundary_signs(system, ref, entry.closed)
+        term = sum(sign * w.value(ref, cell) for cell, sign in signs.items())
+        rhs -= (-1) ** len(entry.tup) * term
+    return lhs, rhs
 
 
 def reglue_classes(system: AdjunctionSystem) -> list[ClassKey]:

@@ -197,3 +197,28 @@ def test_scale_invariance():
 def test_euler_inclusion_exclusion_matches_gauss_bonnet_chi():
     fx = glued_icosahedra()
     assert euler_inclusion_exclusion(fx.system, fx.cores) == 3
+
+
+def test_gauss_bonnet_measures_each_triangle_once(monkeypatch):
+    # torus_pair(12): two 12x13 grid tori, 312 triangles each; the glued
+    # annulus's triangles are not measured again
+    import nonhausdorff.geometry as geometry
+    from conftest import torus_pair
+
+    fx = torus_pair(12)
+    lengths = {}
+    for edge in fx.system.pieces[0].cells_of_dim(1):
+        lengths[edge] = math.sqrt(2.0) if edge.startswith("d") else 1.0
+    metrics = [MetricComplex(piece, dict(lengths)) for piece in fx.system.pieces]
+    calls = []
+    real = geometry.corner_angles
+
+    def counting(mc, triangle):
+        calls.append(triangle)
+        return real(mc, triangle)
+
+    monkeypatch.setattr(geometry, "corner_angles", counting)
+    report = gauss_bonnet_report(fx.system, metrics, fx.cores)
+    assert len(calls) == 624 == sum(len(p.cells_of_dim(2)) for p in fx.system.pieces)
+    assert report.chi == 0
+    assert abs(report.residual) < TOL

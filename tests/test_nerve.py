@@ -120,8 +120,9 @@ def test_nonempty_core_on_an_empty_intersection_is_rejected():
 
 
 def test_cross_checks_raise_under_optimisation():
-    # asserts vanish under -O; the class-sum and angle-sum checks and the
-    # checks on input (matrix shapes, cochain degree, orientation) must not
+    # asserts vanish under -O; the class-sum and angle-sum checks, the
+    # compatibility of dw in stokes_defect and the checks on input (matrix
+    # shapes, cochain degree, orientation) must not
     code = textwrap.dedent(
         """
         from fractions import Fraction
@@ -129,10 +130,10 @@ def test_cross_checks_raise_under_optimisation():
         from nonhausdorff.cells import CellComplex
         from nonhausdorff.cochains import (
             Cochain, GlobalCochain, boundary_signs, domain_integral, integrate,
-            piece_integral, zero_global,
+            piece_integral, stokes_defect, zero_global,
         )
-        from nonhausdorff.errors import PreconditionError
-        from nonhausdorff.fixtures import line_two_origins, path_complex
+        from nonhausdorff.errors import IncompatibleCochainError, PreconditionError
+        from nonhausdorff.fixtures import glued_circles, line_two_origins, path_complex
         from nonhausdorff.geometry import MetricComplex, corner_angles
         from nonhausdorff.linalg import Mat
         from nonhausdorff.refine import subdivide_system, subdivide_top_cochain
@@ -147,6 +148,11 @@ def test_cross_checks_raise_under_optimisation():
             {"x": {"a": -1, "b": 1}, "y": {"b": -1, "c": 1}, "z": {"a": -1, "c": 1},
              "t": {"x": 1, "y": 1, "z": -1}},
         )
+        circles = glued_circles().system
+        disagreeing = [
+            Cochain.of(piece.whole_set(), 0, {"w1": Fraction(k + 1, 3)})
+            for k, piece in enumerate(circles.pieces)
+        ]
         unoriented = AdjunctionSystem.assemble([path_complex()])
         whole = unoriented.pieces[0].whole_set()
         for call in (
@@ -157,10 +163,11 @@ def test_cross_checks_raise_under_optimisation():
             lambda: piece_integral(unoriented, 0, Cochain.of(whole, 1, {})),
             lambda: domain_integral(unoriented, 0, whole, Cochain.of(whole, 1, {})),
             lambda: boundary_signs(unoriented, 0, whole),
+            lambda: stokes_defect(GlobalCochain(circles, 0, tuple(disagreeing))),
         ):
             try:
                 call()
-            except PreconditionError as exc:
+            except (PreconditionError, IncompatibleCochainError) as exc:
                 print(type(exc).__name__, exc)
             else:
                 print("no error")
@@ -183,4 +190,5 @@ def test_cross_checks_raise_under_optimisation():
         "PreconditionError piece_integral: system carries no orientation",
         "PreconditionError domain_integral: system carries no orientation",
         "PreconditionError boundary_signs: system carries no orientation",
+        "IncompatibleCochainError components disagree: piece C1 cell 'c0' = 1/3 but piece C2 cell 'c0' = 2/3",
     ]
