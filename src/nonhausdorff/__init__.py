@@ -25,7 +25,6 @@ _EXPORTS = {
         "glued_cell_classes",
         "hausdorff_pairs",
         "nerve",
-        "normalized_tuples",
         "open_intersection",
         "closed_intersection",
         "quotient_complex",

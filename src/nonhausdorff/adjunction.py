@@ -163,14 +163,6 @@ class AdjunctionSystem:
         return self.orientations is not None
 
 
-def normalized_tuples(n: int) -> list[tuple[int, ...]]:
-    """Ascending index tuples i1 < ... < ip with p >= 2, smallest sizes first."""
-    out: list[tuple[int, ...]] = []
-    for size in range(2, n + 1):
-        out.extend(itertools.combinations(range(n), size))
-    return out
-
-
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
     """The p-fold intersection domain, transported into the smallest-index piece."""
     ref, *others = tup
@@ -207,7 +199,7 @@ class NerveTuple:
 
 def nerve(system: AdjunctionSystem, max_tuple: int | None = None) -> list[NerveTuple]:
     """The tuples of at most ``max_tuple`` pieces whose intersection can be
-    nonempty, in :func:`normalized_tuples` order.
+    nonempty, in (size, tuple) order.
 
     For each first index i, ascending tuples are extended one index k at a
     time, intersecting the closures of the regions U_ik (``closure_meet``);
@@ -463,16 +455,13 @@ def glued_cell_classes(system: AdjunctionSystem) -> CellClasses:
 
 
 def closure_intersection_check(system: AdjunctionSystem) -> dict[tuple[int, ...], bool]:
-    """Per tuple i1<...<im: closure of the intersection equals the
+    """Per nerve tuple i1<...<im: closure of the intersection equals the
     intersection of the closures, computed in the smallest-index piece.
 
-    Every normalized tuple is a key; the tuples :func:`nerve` leaves out have
-    both sides empty and map to True.
+    The keys are the tuples of :func:`nerve`; a tuple it leaves out has an
+    empty intersection and an empty closure meet, so the property holds there.
     """
-    out = dict.fromkeys(normalized_tuples(system.n()), True)
-    for entry in nerve(system):
-        out[entry.tup] = entry.closure_ok
-    return out
+    return {entry.tup: entry.closure_ok for entry in nerve(system)}
 
 
 def regular_open_check(system: AdjunctionSystem) -> dict[tuple[int, int], bool]:

@@ -262,6 +262,23 @@ def equivalence_classes(nodes: Iterable[Node], links: Iterable[tuple[Node, Node]
     return list(groups.values())
 
 
+def first_unclosed_cell(c: CellComplex, top: int) -> str | None:
+    """The smallest cell of dimension ``top - 1`` that is not a face of
+    exactly two cells of dimension ``top``, or None when there is none."""
+    dims = c.dims
+    bad = None
+    for cell, dim in dims.items():
+        if dim != top - 1 or (bad is not None and cell > bad):
+            continue
+        carriers = 0
+        for coface in c.cofaces_of(cell):
+            if dims.get(coface) == top:
+                carriers += 1
+        if carriers != 2:
+            bad = cell
+    return bad
+
+
 def _component_partition(s: CellSet) -> list[frozenset[str]]:
     c = s.owner
     links = ((m, face) for m in s.members for face in c.faces_of(m) if face in s.members)

@@ -34,6 +34,7 @@ from .cells import (
     Orientation,
     closure,
     equivalence_classes,
+    first_unclosed_cell,
     is_face_closed,
     is_star_closed,
 )
@@ -381,20 +382,10 @@ def boundary_signs(system: AdjunctionSystem, piece: int, domain: CellSet) -> dic
 def _require_closed(system: AdjunctionSystem, top: int) -> None:
     """Every codim-1 cell of every piece carries exactly two top cells."""
     for idx, piece in enumerate(system.pieces):
-        dims = piece.dims
-        bad = []
-        for cell, dim in dims.items():
-            if dim != top - 1:
-                continue
-            carriers = 0
-            for coface in piece.cofaces_of(cell):
-                if dims[coface] == top:
-                    carriers += 1
-            if carriers != 2:
-                bad.append(cell)
-        if bad:
+        bad = first_unclosed_cell(piece, top)
+        if bad is not None:
             raise PreconditionError(
-                f"stokes_defect: piece {system.names[idx]} is not closed at cell {min(bad)!r}"
+                f"stokes_defect: piece {system.names[idx]} is not closed at cell {bad!r}"
             )
 
 

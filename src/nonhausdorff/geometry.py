@@ -5,7 +5,9 @@ half-total-curvature of any region is the sum of the defects of the vertices
 interior to it, and the geodesic-curvature counterterm along a frontier cycle
 is pi minus the interior angle sum at each boundary vertex.  These choices
 make the glued Gauss-Bonnet ledger an exact identity up to float roundoff;
-this is the only module that uses floating point, with a 1e-9 budget.
+this is the only module that uses floating point, with a 1e-9 budget.  The
+ledger has one row per piece and one per tuple of :func:`adjunction.nerve`:
+a tuple outside the nerve has an empty intersection and adds nothing.
 
 :class:`MetricComplex` is defined in :mod:`cells`, so that loading a document
 does not load this module, and is re-exported here.  The Euler characteristic
@@ -18,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adjunction import AdjunctionSystem, ClassKey, glued_cell_classes, nerve, normalized_tuples
-from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, star
+from .adjunction import AdjunctionSystem, nerve
+from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, first_unclosed_cell, star
 from .errors import InvariantError, PreconditionError, ValidationReport
 
 ANGLE_TOLERANCE = 1e-9
@@ -61,11 +63,14 @@ def corner_angles(mc: MetricComplex, triangle: str) -> dict[str, float]:
     return out
 
 
-def validate_metric(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> ValidationReport:
+def validate_metric(
+    system: AdjunctionSystem, metrics: Sequence[MetricComplex] | None
+) -> ValidationReport:
     """Triangle inequalities per triangle and exact length equality on glued
-    edges, closures included (the isometry condition)."""
+    edges, closures included (the isometry condition).  No metrics at all
+    (None) is reported like a wrong metric count."""
     report = ValidationReport()
-    if len(metrics) != system.n():
+    if metrics is None or len(metrics) != system.n():
         report.add("metric-count", "system", "need one metric per piece")
         return report
     for idx, mc in enumerate(metrics):
@@ -115,12 +120,9 @@ def _require_closed_surfaces(system: AdjunctionSystem) -> None:
     for idx, piece in enumerate(system.pieces):
         if piece.top_dimension != 2:
             raise PreconditionError(f"piece {system.names[idx]} is not 2-dimensional")
-        for edge in piece.cells_of_dim(1):
-            carriers = [t for t in piece.cofaces_of(edge) if piece.dims[t] == 2]
-            if len(carriers) != 2:
-                raise PreconditionError(
-                    f"piece {system.names[idx]} is not a closed surface at edge {edge!r}"
-                )
+        edge = first_unclosed_cell(piece, 2)
+        if edge is not None:
+            raise PreconditionError(f"piece {system.names[idx]} is not a closed surface at edge {edge!r}")
 
 
 def _piece_angles(metrics: Sequence[MetricComplex]) -> list[dict[str, dict[str, float]]]:
@@ -160,10 +162,9 @@ def _domain_angle_sums(piece_angles: dict[str, dict[str, float]], domain: CellSe
 
 @dataclass(eq=False)
 class CurvatureLedger:
-    """Angle defects per vertex class and turning angles along the frontier
-    cycles of each normalized intersection closure."""
+    """Angle defects per vertex of each piece, and turning angles along the
+    frontier cycles of the intersection closure of each nerve tuple."""
 
-    class_defects: dict[ClassKey, float]
     piece_defects: list[dict[str, float]]
     piece_totals: list[float]
     tuple_interior_totals: dict[tuple[int, ...], float]
@@ -175,8 +176,9 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
     """Defect 2*pi - (angle sum) at every vertex of every piece (doubled
     frontier vertices count once per copy, inside their own piece) and
     turning angle pi - (angle sum inside) at every boundary vertex of every
-    closed intersection domain.  Every normalized tuple has an entry; those
-    outside the nerve have an empty domain and zero totals."""
+    closed intersection domain.  The tuple keys are those of :func:`nerve`,
+    in its order; a visited tuple with an empty intersection has zero totals,
+    and every tuple left out has an empty domain."""
     validate_metric(system, metrics).require("curvature_ledger")
     _require_closed_surfaces(system)
     angles = _piece_angles(metrics)
@@ -187,23 +189,13 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
         piece_defects.append({v: 2.0 * math.pi - s for v, s in sorted(angle_sums[idx].items())})
     piece_totals = [sum(d.values()) for d in piece_defects]
 
-    classes = glued_cell_classes(system)
-    class_defects: dict[ClassKey, float] = {}
-    for key in classes.classes:
-        i, cell = key[0]
-        if system.pieces[i].dims[cell] == 0:
-            class_defects[key] = piece_defects[i][cell]
-
-    tuples = normalized_tuples(system.n())
-    tuple_interior_totals = dict.fromkeys(tuples, 0.0)
-    turning_angles: dict[tuple[int, ...], dict[str, float]] = {tup: {} for tup in tuples}
-    tuple_turning_totals = dict.fromkeys(tuples, 0.0)
+    tuple_interior_totals: dict[tuple[int, ...], float] = {}
+    turning_angles: dict[tuple[int, ...], dict[str, float]] = {}
+    tuple_turning_totals: dict[tuple[int, ...], float] = {}
     for entry in nerve(system):
         tup, ref, domain = entry.tup, entry.tup[0], entry.closed
-        if not domain.members:
-            continue
         inside = _interior_vertices(system.pieces[ref], domain)
-        tuple_interior_totals[tup] = sum(piece_defects[ref][v] for v in sorted(inside))
+        tuple_interior_totals[tup] = sum((piece_defects[ref][v] for v in sorted(inside)), 0.0)
         inside_sums = _domain_angle_sums(angles[ref], domain)
         turnings = {
             v: math.pi - inside_sums[v]
@@ -211,10 +203,9 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
             if v not in inside
         }
         turning_angles[tup] = turnings
-        tuple_turning_totals[tup] = sum(turnings.values())
+        tuple_turning_totals[tup] = sum(turnings.values(), 0.0)
 
     return CurvatureLedger(
-        class_defects=class_defects,
         piece_defects=piece_defects,
         piece_totals=piece_totals,
         tuple_interior_totals=tuple_interior_totals,
@@ -262,7 +253,7 @@ def gauss_bonnet_report(
     rows: list[GaussBonnetRow] = []
     for i, total in enumerate(ledger.piece_totals):
         rows.append(GaussBonnetRow((i,), 1, total, 0.0))
-    for tup in sorted(ledger.tuple_interior_totals, key=lambda t: (len(t), t)):
+    for tup in ledger.tuple_interior_totals:
         sign = (-1) ** (len(tup) + 1)
         curvature += sign * ledger.tuple_interior_totals[tup]
         counterterms += sign * ledger.tuple_turning_totals[tup]

@@ -1,7 +1,7 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
 non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs,
-hexagons glued on open arcs), and one-node mutations of JSON documents for
+hexagons glued on open arcs, a chain of icosahedra), and one-node mutations of JSON documents for
 the loading and CLI fuzz tests."""
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from nonhausdorff import fixtures as fixture_mod
 from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes
-from nonhausdorff.cells import CellComplex, CellSet, Orientation, closure, star
+from nonhausdorff.cells import CellComplex, CellSet, MetricComplex, Orientation, closure, star
 from nonhausdorff.cochains import Cochain, GlobalCochain, assemble_global
 from nonhausdorff.cohomology import CoreAssignment
 from nonhausdorff.errors import NonHausdorffError
@@ -294,6 +294,27 @@ def torus_pair(n: int) -> fixture_mod.Fixture:
     system = AdjunctionSystem.assemble(pieces, ["T1", "T2"], regions, maps, _plus_orientations(pieces))
     core = CellSet.of(pieces[0], row + [f"h{x},1" for x in range(n)])
     return fixture_mod.Fixture(f"tori_{n}", system, CoreAssignment({(0, 1): core}))
+
+
+def icosahedron_chain() -> fixture_mod.Fixture:
+    """Three unit icosahedra in a chain: I1 and I2 share the open star of
+    vertex i0, I2 and I3 that of the antipodal vertex i9.  I1 and I3 do not
+    meet, so the nerve holds two of the four piece tuples."""
+    pieces = [fixture_mod.icosahedron_complex() for _ in range(3)]
+    regions: dict[tuple[int, int], set[str]] = {}
+    maps: dict[tuple[int, int], tuple[dict[str, str], dict[str, str]]] = {}
+    cores: dict[tuple[int, ...], CellSet] = {}
+    for s, apex in ((0, "i0"), (1, "i9")):
+        region = star(CellSet.of(pieces[s], [apex]))
+        closed = closure(region).members
+        regions[(s, s + 1)] = set(region.members)
+        maps[(s, s + 1)] = ({c: c for c in region.members}, {c: c for c in closed})
+        cores[(s, s + 1)] = CellSet.of(pieces[s], [apex])
+    system = AdjunctionSystem.assemble(
+        pieces, ["I1", "I2", "I3"], regions, maps, _plus_orientations(pieces)
+    )
+    metrics = [MetricComplex(p, {e: 1.0 for e in p.cells_of_dim(1)}) for p in pieces]
+    return fixture_mod.Fixture("icosahedron_chain", system, CoreAssignment(cores), metrics)
 
 
 HEXAGON_ARC = ["c0", "c1", "c2", "w1", "w2"]  # the open 3-edge arc w0..w3

@@ -2,7 +2,9 @@
 
 The tuple walks visit all 2^n - n - 1 normalized piece tuples, empty
 intersections included, as the library did before it enumerated the nerve of
-the cover (test_nerve.py).  The reference bicomplex is assembled by the
+the cover (test_nerve.py); ``normalized_tuples`` is that reference
+enumeration.  ``closure_intersection_check`` keys every such tuple, where the
+library keys only the nerve tuples.  The reference bicomplex is assembled by the
 reference assembly below.
 
 The sparse-assembly references are ``Mat.matmul``, ``Bicomplex.total_complex``
@@ -38,6 +40,7 @@ regions (test_adjunction.py).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -49,7 +52,6 @@ from nonhausdorff.adjunction import (
     _validate_cocycles,
     glued_cell_classes,
     nerve,
-    normalized_tuples,
     union_of_regions,
 )
 from nonhausdorff.cells import (
@@ -93,6 +95,14 @@ from nonhausdorff.errors import (
 from nonhausdorff.geometry import MetricComplex
 from nonhausdorff.linalg import Mat, Vec, independent_columns, solve_columns
 from nonhausdorff.schema import SCHEMA_VERSION, LoadedSystem
+
+
+def normalized_tuples(n: int) -> list[tuple[int, ...]]:
+    """Ascending index tuples i1 < ... < ip with p >= 2, smallest sizes first."""
+    out: list[tuple[int, ...]] = []
+    for size in range(2, n + 1):
+        out.extend(itertools.combinations(range(n), size))
+    return out
 
 
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:

@@ -27,7 +27,7 @@ from nonhausdorff.cochains import (
     piece_integral,
     stokes_defect,
 )
-from nonhausdorff.adjunction import closed_intersection, normalized_tuples
+from nonhausdorff.adjunction import closed_intersection
 from nonhausdorff.cohomology import (
     Flavor,
     build_bicomplex,
@@ -44,6 +44,7 @@ from nonhausdorff.geometry import MetricComplex, curvature_ledger, gauss_bonnet_
 from nonhausdorff.refine import subdivide_system, subdivide_top_cochain
 from nonhausdorff.adjunction import AdjunctionSystem
 
+import oracle
 from conftest import (
     CORE_FIXTURES,
     FIXTURES_DIR,
@@ -145,7 +146,7 @@ def test_criterion_06_inclusion_exclusion_integration(built):
         value = integrate(w)  # carries the internal class-sum cross-check
         # explicit alternating formula, recomputed here
         alt = sum(piece_integral(system, i, w.component(i)) for i in range(system.n()))
-        for tup in normalized_tuples(system.n()):
+        for tup in oracle.normalized_tuples(system.n()):
             domain = closed_intersection(system, tup)
             alt -= (-1) ** len(tup) * domain_integral(system, tup[0], domain, w.component(tup[0]))
         assert value == alt, name

@@ -8,6 +8,7 @@ from nonhausdorff.cells import (
     closure,
     connected_components,
     euler_characteristic,
+    first_unclosed_cell,
     frontier,
     interior,
     is_face_closed,
@@ -96,6 +97,19 @@ def test_star_of_vertex_in_disk():
     # a vertex of the icosahedron has five incident edges and five triangles
     dims = sorted(ico.dims[c] for c in s.members)
     assert dims == [0] + [1] * 5 + [2] * 5
+
+
+def test_first_unclosed_cell_names_the_smallest_failing_cell():
+    assert first_unclosed_cell(icosahedron_complex(), 2) is None
+    assert first_unclosed_cell(cycle_complex(4), 1) is None
+    # both ends of the path lie in one edge; "v-2" sorts before "v2"
+    assert first_unclosed_cell(path_complex(), 1) == "v-2"
+    # an edge in three triangles fails as well as one in a single triangle
+    c = CellComplex.build(
+        [("a", 0), ("b", 0), ("e", 1), ("t1", 2), ("t2", 2), ("t3", 2)],
+        {"e": {"a": -1, "b": 1}, "t1": {"e": 1}, "t2": {"e": -1}, "t3": {"e": 1}},
+    )
+    assert first_unclosed_cell(c, 2) == "e"
 
 
 def test_euler_characteristic_examples():

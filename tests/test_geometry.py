@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 
-from nonhausdorff.adjunction import AdjunctionSystem, normalized_tuples, closed_intersection
+import oracle
+from nonhausdorff.adjunction import AdjunctionSystem, closed_intersection, nerve
 from nonhausdorff.cells import euler_characteristic
 from nonhausdorff.cohomology import euler_inclusion_exclusion
 from nonhausdorff.errors import PreconditionError
@@ -138,7 +140,7 @@ def test_subcomplex_gauss_bonnet_with_boundary():
     # interior defects + boundary turnings = 2 pi chi(subcomplex)
     for fx in (glued_icosahedra(), glued_tori()):
         ledger = curvature_ledger(fx.system, fx.metrics)
-        for tup in normalized_tuples(fx.system.n()):
+        for tup in oracle.normalized_tuples(fx.system.n()):
             domain = closed_intersection(fx.system, tup)
             if not domain.members:
                 continue
@@ -190,8 +192,10 @@ def test_scale_invariance():
     assert abs(after.residual) < TOL
     ledger_before = curvature_ledger(fx.system, fx.metrics)
     ledger_after = curvature_ledger(fx.system, scaled)
-    for key, value in ledger_before.class_defects.items():
-        assert abs(ledger_after.class_defects[key] - value) < TOL
+    for before_defects, after_defects in zip(ledger_before.piece_defects, ledger_after.piece_defects):
+        assert before_defects.keys() == after_defects.keys()
+        for vertex, value in before_defects.items():
+            assert abs(after_defects[vertex] - value) < TOL
 
 
 def test_euler_inclusion_exclusion_matches_gauss_bonnet_chi():
@@ -222,3 +226,31 @@ def test_gauss_bonnet_measures_each_triangle_once(monkeypatch):
     assert len(calls) == 624 == sum(len(p.cells_of_dim(2)) for p in fx.system.pieces)
     assert report.chi == 0
     assert abs(report.residual) < TOL
+
+
+def test_ledger_and_report_follow_the_nerve():
+    # the chain's ends I1 and I3 do not meet: (I1,I3) and (I1,I2,I3) have no row
+    from conftest import icosahedron_chain
+
+    for fx in (glued_tori(), glued_icosahedra(), icosahedron_chain()):
+        tuples = [entry.tup for entry in nerve(fx.system)]
+        ledger = curvature_ledger(fx.system, fx.metrics)
+        assert list(ledger.tuple_interior_totals) == tuples
+        assert list(ledger.turning_angles) == tuples
+        assert list(ledger.tuple_turning_totals) == tuples
+        report = gauss_bonnet_report(fx.system, fx.metrics, fx.cores)
+        assert [row.tup for row in report.rows] == [(i,) for i in range(fx.system.n())] + tuples
+        assert abs(report.residual) < TOL
+    assert tuples == [(0, 1), (1, 2)]
+    assert report.chi == 4
+
+
+def test_missing_metrics_are_a_wrong_metric_count():
+    fx = glued_icosahedra()
+    report = validate_metric(fx.system, None)
+    assert [(issue.rule, issue.location) for issue in report.issues] == [("metric-count", "system")]
+    message = "validation failed (1 issue(s)); first: [metric-count] system: need one metric per piece"
+    with pytest.raises(PreconditionError, match=r"^curvature_ledger: " + re.escape(message)):
+        curvature_ledger(fx.system, None)
+    with pytest.raises(PreconditionError, match=r"^curvature_ledger: " + re.escape(message)):
+        gauss_bonnet_report(fx.system, None, fx.cores)

@@ -1,5 +1,8 @@
 """The nerve walk against the 2^n tuple walks kept in oracle.py.
 
+Results indexed by intersections carry one key per nerve tuple; the oracle
+keys every tuple, and each one the library leaves out must hold there.
+
 The differential test draws shipped fixtures and generated non-Hausdorff
 covers (hub paths with 2-6 spokes at spacing 2-4, k-origin lines with
 k = 2-5) and compares every consumer of the nerve with its reference.
@@ -7,6 +10,9 @@ k = 2-5) and compares every consumer of the nerve with its reference.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 import subprocess
 import sys
@@ -18,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from nonhausdorff import cli
 from nonhausdorff.adjunction import closure_intersection_check, nerve, validate_system
 from nonhausdorff.cells import CellSet
 from nonhausdorff.cochains import integrate
@@ -27,10 +34,12 @@ from nonhausdorff.cohomology import (
     build_bicomplex,
     euler_inclusion_exclusion,
     resolve_cores,
+    row_exactness_check,
     total_betti,
 )
 from nonhausdorff.errors import PreconditionError
 from nonhausdorff.fixtures import FIXTURE_BUILDERS, closure_violation
+from nonhausdorff.schema import serialize_system
 
 from conftest import hub_with_spokes, k_origin_line, outcome, random_global_cochain
 
@@ -52,7 +61,11 @@ def members(cores: dict) -> dict:
 @given(fx=covers, seed=st.integers(0, 2**16))
 def test_nerve_consumers_match_the_tuple_walk(fx, seed):
     system = fx.system
-    assert closure_intersection_check(system) == oracle.closure_intersection_check(system)
+    checks = closure_intersection_check(system)
+    every_tuple = oracle.closure_intersection_check(system)
+    assert list(checks) == [entry.tup for entry in nerve(system)]
+    assert checks == {tup: every_tuple[tup] for tup in checks}
+    assert all(ok for tup, ok in every_tuple.items() if tup not in checks)
 
     got = outcome(resolve_cores, system, fx.cores)
     want = outcome(oracle.resolve_cores, system, fx.cores)
@@ -78,6 +91,27 @@ def test_sparse_hub_nerve_has_one_tuple_per_spoke():
     entries = nerve(hub_with_spokes(13, 4).system)
     assert [entry.tup for entry in entries] == [(0, s) for s in range(1, 14)]
     assert all(entry.closure_ok for entry in entries)
+
+
+@pytest.mark.parametrize("spacing", [2, 4])
+def test_fourteen_piece_hub_lists_only_nerve_tuples(spacing, tmp_path):
+    # 16 369 piece tuples; the nerve has 13 pairs, plus 12 triples at spacing 2
+    fx = hub_with_spokes(13, spacing)
+    system = fx.system
+    tuples = [entry.tup for entry in nerve(system)]
+    assert len(tuples) == (25 if spacing == 2 else 13)
+    checks = closure_intersection_check(system)
+    assert list(checks) == tuples
+    assert row_exactness_check(system).closure_checks == checks
+
+    doc = tmp_path / "hub.json"
+    doc.write_text(json.dumps(serialize_system(fx.name, system, fx.cores, fx.metrics)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--json", "validate", str(doc)]) == 0
+    listed = json.loads(out.getvalue())["payload"]["closure_intersection"]
+    labels = {"(" + ",".join(system.names[i] for i in tup) + ")": ok for tup, ok in checks.items()}
+    assert listed == labels
 
 
 def test_close_spokes_visit_their_empty_neighbour_pairs():

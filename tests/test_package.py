@@ -30,14 +30,14 @@ PUBLIC_NAMES = [
     "euler_inclusion_exclusion", "extend_by_zero", "frontier", "gauss_bonnet_report",
     "geometry", "global_complex_betti", "glued_cell_classes", "hausdorff_pairs", "integrate",
     "integrate_over_chain", "interior", "linalg", "make_chain", "mv_report", "nerve",
-    "normalized_tuples", "open_intersection", "quotient_complex", "regular_open_check",
-    "row_exactness_check", "star", "stokes_defect", "total_betti", "validate_complex",
-    "validate_metric", "validate_system",
+    "open_intersection", "quotient_complex", "regular_open_check", "row_exactness_check",
+    "star", "stokes_defect", "total_betti", "validate_complex", "validate_metric",
+    "validate_system",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 69
     assert sorted(nonhausdorff.__all__) == PUBLIC_NAMES
 
 
