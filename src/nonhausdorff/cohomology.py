@@ -9,13 +9,14 @@ Two bicomplex flavors are computed over the cover by the pieces:
   carry the homotopy type of the open intersections; its total complex is the
   singular-style cohomology.
 
-Both share one exact-rank engine, :meth:`linalg.Mat.rank`, and one Cech
-differential with the alternating-sign restriction convention whose binary
-block is (restriction) - (pullback along the closure extension).  Every
-matrix assembled here has entries +-1 (or their sums), stored as ``int``, so
-assembly, the d-d checks and the unit-pivot elimination behind the rank run
-on integers; a ``Fraction`` appears only if elimination meets a row without
-a +-1 entry.
+Both share one exact-rank engine, :meth:`linalg.Mat.rank` (reached through
+the clearing of :func:`linalg.complex_ranks` for a complex whose d∘d = 0
+has been checked), and one Cech differential with the alternating-sign
+restriction convention whose binary block is (restriction) - (pullback
+along the closure extension).  Every matrix assembled here has entries +-1
+(or their sums), stored as ``int``, so assembly, the d-d checks and the
+unit-pivot elimination behind the rank run on integers; a ``Fraction``
+appears only if elimination meets a row without a +-1 entry.
 
 :class:`CoreAssignment` is defined in :mod:`cells`, so that loading a document
 does not load this module, and is re-exported here.
@@ -37,7 +38,7 @@ from .adjunction import (
 )
 from .cells import CellSet, CoreAssignment, euler_characteristic, interior, closure, is_face_closed
 from .errors import PreconditionError
-from .linalg import Mat
+from .linalg import Mat, complex_ranks
 
 
 class Flavor(Enum):
@@ -71,9 +72,10 @@ def betti(fc: FreeComplex) -> list[int]:
 
 
 def _checked_ranks(fc: FreeComplex) -> dict[int, int]:
-    """The rank of each differential, after checking d∘d = 0."""
+    """The rank of each differential, after checking d∘d = 0, which the
+    clearing in :func:`linalg.complex_ranks` needs."""
     fc.validate()
-    return {q: m.rank() for q, m in enumerate(fc.maps)}
+    return dict(enumerate(complex_ranks(fc.maps)))
 
 
 def _betti_from_ranks(dims: list[int], ranks: dict[int, int]) -> list[int]:
@@ -307,11 +309,13 @@ def _flavor_domains(
     cores: CoreAssignment | None,
     max_tuple: int | None,
     check_preconditions: bool,
+    entries: list[NerveTuple] | None = None,
 ) -> dict[tuple[int, ...], CellSet]:
     domains: dict[tuple[int, ...], CellSet] = {
         (i,): system.pieces[i].whole_set() for i in range(system.n())
     }
-    entries = nerve(system, max_tuple)
+    if entries is None:
+        entries = nerve(system, max_tuple)
     if flavor is Flavor.CLOSED_INTERSECTION:
         if check_preconditions:
             bad = sorted(entry.tup for entry in entries if not entry.closure_ok)
@@ -341,13 +345,17 @@ def build_bicomplex(
     cores: CoreAssignment | None = None,
     max_tuple: int | None = None,
     check_preconditions: bool = True,
+    *,
+    _entries: list[NerveTuple] | None = None,
 ) -> Bicomplex:
     """The bicomplex of the given flavor over the nerve of the cover.
 
     ``max_tuple`` caps the arity of the intersections; the pairs-only global
-    complex of :func:`global_complex_betti` is its one user.
+    complex of :func:`global_complex_betti` is its one user.  ``_entries``,
+    for callers in this module that have walked the nerve already, must be
+    ``nerve(system, max_tuple)``.
     """
-    domains = _flavor_domains(system, flavor, cores, max_tuple, check_preconditions)
+    domains = _flavor_domains(system, flavor, cores, max_tuple, check_preconditions, _entries)
     return _assemble(system, flavor, _column_tuples(system, domains, max_tuple), domains)
 
 
@@ -559,8 +567,9 @@ def mv_report(
     h_total = _betti_from_ranks([total.dim(q) for q in range(len(total.bases))], rank_total)
     # one degree past the columns: the connecting map out of B^{max_q} lands there
     degrees = range(len(h_total))
-    rank_a = {q: bicx.vertical[(0, q)].rank() for q in range(bicx.max_q)}
-    rank_b = {q: bicx.vertical[(1, q)].rank() for q in range(bicx.max_q)}
+    # the diagonal blocks of D^2 = 0 are d_A^2 = 0 and d_B^2 = 0, as clearing needs
+    rank_a = dict(enumerate(complex_ranks([bicx.vertical[(0, q)] for q in range(bicx.max_q)])))
+    rank_b = dict(enumerate(complex_ranks([bicx.vertical[(1, q)] for q in range(bicx.max_q)])))
     h_a = _betti_from_ranks([bicx.dim(0, q) for q in degrees], rank_a)
     h_b = _betti_from_ranks([bicx.dim(1, q) for q in degrees], rank_b)
     rank_f = [
@@ -616,9 +625,13 @@ def de_rham_compare(system: AdjunctionSystem, cores: CoreAssignment | None = Non
     """Compute both flavors, flag EQUAL/UNEQUAL, and record whether the
     hypotheses of the comparison theorem (regular-open regions and unions,
     closure-intersection property) hold.  The comparison itself has no
-    preconditions: the flavors are computed either way."""
-    dr = total_betti(build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False))
-    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores))
+    preconditions: the flavors are computed either way.  The nerve is walked
+    once and serves both flavors and the closure-intersection verdict."""
+    entries = nerve(system)
+    dr = total_betti(
+        build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, _entries=entries)
+    )
+    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, _entries=entries))
     width = max(len(dr), len(sing))
     dr += [0] * (width - len(dr))
     sing += [0] * (width - len(sing))
@@ -627,7 +640,7 @@ def de_rham_compare(system: AdjunctionSystem, cores: CoreAssignment | None = Non
     for k in range(1, system.n()):
         union = union_of_regions(system, k, range(k))
         unions[k] = interior(closure(union)).members == union.members
-    closure_ok = all(entry.closure_ok for entry in nerve(system))
+    closure_ok = all(entry.closure_ok for entry in entries)
     hypotheses = all(regions.values()) and all(unions.values()) and closure_ok
     return CompareReport(
         de_rham=dr,

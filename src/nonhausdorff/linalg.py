@@ -6,6 +6,12 @@ all ranks of (stacked) matrices.  Every matrix the library builds has ``int``
 entries, and the rank is taken by sparse forward elimination, sparsest row
 first on a +-1 pivot (Markowitz order, :func:`_rank`), which stays in ``int``
 arithmetic; a ``Fraction`` appears only for a row without a +-1 entry.
+
+A cochain complex is ranked by :func:`complex_ranks`, top degree down, with
+clearing (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014): the rows of D_n
+indexed by the pivot columns of D_{n+1} are left out, which keeps the rank
+exact only when D_{n+1} D_n = 0, so callers check that first.
+
 ``Mat.nullspace``, ``solve_columns`` and ``independent_columns`` have no
 caller in the library; they remain, with the Gauss-Jordan ``_eliminate``
 behind them, because the test oracle builds its explicit-basis reference
@@ -77,8 +83,10 @@ class Mat:
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
 
-    def rank(self) -> int:
-        return _rank(self.rows)
+    def rank(self, pivots: list[int] | None = None) -> int:
+        """The rank; the pivot column of each elimination step is appended
+        to ``pivots`` when it is given."""
+        return _rank(self.rows, pivots)
 
     def nullspace(self) -> list[Vec]:
         """Basis of ``{x : self @ x = 0}``, one vector per free column."""
@@ -97,7 +105,30 @@ class Mat:
         return basis
 
 
-def _rank(rows: list[Vec]) -> int:
+def complex_ranks(maps: list[Mat]) -> list[int]:
+    """The rank of each differential ``maps[n]``, D_n, of a cochain complex.
+
+    The maps are ranked from the top degree down, and the rows of D_n indexed
+    by the pivot columns P of D_{n+1} are left out.  This is exact only when
+    D_{n+1} D_n = 0, which the caller must have checked: elimination leaves
+    the pivot rows of D_{n+1} triangular on P, so its row space projects onto
+    the coordinates P isomorphically, and as that row space annihilates D_n,
+    each row of D_n in P is a combination of the rows outside P.
+    """
+    ranks = [0] * len(maps)
+    cleared: set[int] = set()
+    for n in range(len(maps) - 1, -1, -1):
+        mat = maps[n]
+        if cleared:
+            kept = [row for r, row in enumerate(mat.rows) if r not in cleared]
+            mat = Mat(len(kept), mat.ncols, kept)
+        pivots: list[int] = []
+        ranks[n] = mat.rank(pivots)
+        cleared = set(pivots)
+    return ranks
+
+
+def _rank(rows: list[Vec], pivots: list[int] | None = None) -> int:
     """Rank by sparse forward elimination on copies of ``rows``.
 
     No back substitution and no row normalisation.  The sparsest live row is
@@ -107,7 +138,8 @@ def _rank(rows: list[Vec]) -> int:
     through a column -> rows index, is cleared there, and the pivot row is
     retired.  The factor is ``a * pivot`` for a unit pivot and
     ``Fraction(a, pivot)`` otherwise: ``a / pivot`` would be a float for
-    ``int`` entries and lose exactness.
+    ``int`` entries and lose exactness.  Each pivot column is appended to
+    ``pivots`` when it is given.
     """
     live: dict[int, Vec] = {r: dict(row) for r, row in enumerate(rows) if row}
     by_col: dict[int, set[int]] = {}
@@ -129,6 +161,8 @@ def _rank(rows: list[Vec]) -> int:
         col = min(units or row, key=lambda c: len(by_col[c]))
         pivot = row[col]
         rank += 1
+        if pivots is not None:
+            pivots.append(col)
         for o in by_col.pop(col):
             other = live[o]
             factor = other[col] * pivot if units else Fraction(other[col], pivot)

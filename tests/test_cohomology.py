@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from nonhausdorff import refine
+from nonhausdorff import cohomology, refine
 from nonhausdorff.adjunction import AdjunctionSystem, quotient_complex
 from nonhausdorff.cohomology import (
     Flavor,
+    FreeComplex,
+    _checked_ranks,
+    betti,
     build_bicomplex,
     complex_betti,
     de_rham_compare,
@@ -25,6 +28,7 @@ from nonhausdorff.fixtures import (
     icosahedron_complex,
 )
 from nonhausdorff.cells import CellComplex
+from nonhausdorff.linalg import Mat
 
 from conftest import CORE_FIXTURES, GOOD_FIXTURES, random_clopen_system, torus_pair
 from oracle import apply
@@ -406,3 +410,36 @@ def test_betti_numbers_at_scale(build, expected):
     report = mv_report(fx.system, Flavor.CLOSED_INTERSECTION, fx.cores)
     assert report.exact
     assert trim_trailing_zeros([row.h_total for row in report.rows]) == expected
+
+
+@pytest.mark.parametrize("ranks_of", [betti, _checked_ranks])
+def test_d_squared_is_checked_before_any_rank(monkeypatch, ranks_of):
+    # clearing may drop rows of D_0 only when D_1 D_0 = 0; here D_1 D_0 = [1]
+    calls = []
+    rank = Mat.rank
+
+    def counted(mat, pivots=None):
+        calls.append(mat)
+        return rank(mat, pivots)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    one = lambda: Mat(1, 1, [{0: 1}])
+    fc = FreeComplex([["a"], ["b"], ["c"]], [one(), one()])
+    with pytest.raises(PreconditionError, match="d∘d != 0 between degrees 0 and 2"):
+        ranks_of(fc)
+    assert calls == []
+
+
+def test_compare_walks_the_nerve_once(monkeypatch, built):
+    walks = []
+    walk = cohomology.nerve
+
+    def counted(system, max_tuple=None):
+        walks.append(max_tuple)
+        return walk(system, max_tuple)
+
+    monkeypatch.setattr(cohomology, "nerve", counted)
+    for name in ["glued_tori", "line_three_origins", "closure_violation"]:
+        walks.clear()
+        de_rham_compare(built[name].system, built[name].cores)
+        assert walks == [None], name

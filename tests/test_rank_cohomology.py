@@ -6,7 +6,8 @@ paths with 2-6 spokes at spacing 2-4, k-origin lines with k = 2-5, two tori
 glued along an open annulus) and random clopen systems.  Outcomes are
 compared as values or library error messages; ``mv_report`` is compared for
 both flavors, and on systems that are not binary both sides must reject.
-``mv_report`` ranks each matrix once: the total differentials, d_A and d_B.
+``mv_report`` ranks each matrix once: the total differentials, d_A and d_B,
+each complex with clearing, so fewer rows reach the rank than they hold.
 
 On the same cases and on random ``int``/``Fraction`` products that cancel,
 the row-at-a-time bicomplex assembly, total complex and ``Mat.matmul`` are
@@ -32,6 +33,7 @@ from nonhausdorff.cohomology import (
     _assemble,
     _column_tuples,
     _flavor_domains,
+    build_bicomplex,
     global_complex_betti,
     mv_report,
 )
@@ -72,15 +74,20 @@ def test_mv_report_ranks_each_matrix_once(monkeypatch, name, budget):
     calls = []
     rank = Mat.rank
 
-    def counted(mat):
+    def counted(mat, pivots=None):
         calls.append(mat)
-        return rank(mat)
+        return rank(mat, pivots)
 
     monkeypatch.setattr(Mat, "rank", counted)
     for flavor in Flavor:
         calls.clear()
         mv_report(fx.system, flavor, fx.cores)
         assert len(calls) == budget, flavor
+        if name == "glued_tori":
+            # clearing leaves out the rows that the next differential's pivots cover
+            bicx = build_bicomplex(fx.system, flavor, fx.cores)
+            held = [*bicx.total_complex().maps, *bicx.vertical.values()]
+            assert sum(mat.nrows for mat in calls) < sum(mat.nrows for mat in held), flavor
 
 
 def stored(mat):
