@@ -6,12 +6,15 @@ condition on triple overlaps (A3), together with openness of the regions,
 sign-preserving bijectivity of the maps, and the extension of each map to the
 closure of its region.  Hausdorff-violating pairs live exactly on the matched
 frontiers of the gluing regions.
+
+The classes here are plain classes with written-out constructors and
+``__slots__`` (except :class:`NerveTuple`, whose cached closure needs an
+instance dict), compared by identity except :class:`HausdorffPair`, so that
+a cold ``hausdorff`` or ``validate`` generates no code at import.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +35,6 @@ from .errors import PreconditionError, ValidationReport
 ClassKey = tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class GluingMap:
     """A dimension- and sign-preserving bijection between two open regions.
 
@@ -40,12 +42,23 @@ class GluingMap:
     region; it is required data whenever the frontier is nonempty.
     """
 
-    source_piece: int
-    target_piece: int
-    source: CellSet
-    target: CellSet
-    forward: Mapping[str, str]
-    closure_forward: Mapping[str, str]
+    __slots__ = ("source_piece", "target_piece", "source", "target", "forward", "closure_forward")
+
+    def __init__(
+        self,
+        source_piece: int,
+        target_piece: int,
+        source: CellSet,
+        target: CellSet,
+        forward: Mapping[str, str],
+        closure_forward: Mapping[str, str],
+    ):
+        self.source_piece = source_piece
+        self.target_piece = target_piece
+        self.source = source
+        self.target = target
+        self.forward = forward
+        self.closure_forward = closure_forward
 
     def inverse(self) -> "GluingMap":
         return GluingMap(
@@ -58,18 +71,33 @@ class GluingMap:
         )
 
 
-@dataclass(frozen=True)
 class HausdorffPair:
-    left: tuple[int, str]
-    right: tuple[int, str]
+    """Two (piece, cell) pairs that cannot be separated; compared and hashed
+    by value."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[int, str], right: tuple[int, str]):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(eq=False)
 class CellClasses:
     """Partition of all (piece, cell) pairs under the gluing identifications."""
 
-    classes: list[ClassKey]
-    index: dict[tuple[int, str], int]
+    __slots__ = ("classes", "index")
+
+    def __init__(self, classes: list[ClassKey], index: dict[tuple[int, str], int]):
+        self.classes = classes
+        self.index = index
 
     def class_of(self, piece: int, cell: str) -> ClassKey:
         return self.classes[self.index[(piece, cell)]]
@@ -78,7 +106,6 @@ class CellClasses:
         return len(self.classes)
 
 
-@dataclass(eq=False)
 class AdjunctionSystem:
     """Finite family of cell complexes glued along open regions.
 
@@ -87,11 +114,21 @@ class AdjunctionSystem:
     which no gluing was declared are treated as empty regions.
     """
 
-    pieces: list[CellComplex]
-    names: list[str]
-    regions: dict[tuple[int, int], CellSet]
-    maps: dict[tuple[int, int], GluingMap]
-    orientations: list[Orientation] | None = None
+    __slots__ = ("pieces", "names", "regions", "maps", "orientations")
+
+    def __init__(
+        self,
+        pieces: list[CellComplex],
+        names: list[str],
+        regions: dict[tuple[int, int], CellSet],
+        maps: dict[tuple[int, int], GluingMap],
+        orientations: list[Orientation] | None = None,
+    ):
+        self.pieces = pieces
+        self.names = names
+        self.regions = regions
+        self.maps = maps
+        self.orientations = orientations
 
     @classmethod
     def assemble(
@@ -178,13 +215,13 @@ def closed_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet
     return closure(open_intersection(system, tup))
 
 
-@dataclass(frozen=True, eq=False)
 class NerveTuple:
     """One tuple i1 < ... < ip visited by :func:`nerve`, seen in piece i1."""
 
-    tup: tuple[int, ...]
-    domain: CellSet
-    closure_meet: frozenset[str]
+    def __init__(self, tup: tuple[int, ...], domain: CellSet, closure_meet: frozenset[str]):
+        self.tup = tup
+        self.domain = domain
+        self.closure_meet = closure_meet
 
     @cached_property
     def closed(self) -> CellSet:
@@ -383,39 +420,65 @@ def _validate_gluing_map(
 
 
 def _validate_cocycles(system: AdjunctionSystem, report: ValidationReport) -> None:
-    n = system.n()
-    for i, j, k in itertools.permutations(range(n), 3):
-        gm_ij = system.gluing(i, j)
-        gm_ik = system.gluing(i, k)
-        gm_jk = system.gluing(j, k)
-        if gm_ij is None or gm_ik is None:
-            continue
-        overlap = system.region(i, j).members & system.region(i, k).members
-        loc = f"A3({system.names[i]},{system.names[j]},{system.names[k]})"
-        for cell in sorted(overlap):
-            via_j = gm_ij.forward.get(cell)
-            direct = gm_ik.forward.get(cell)
-            if via_j is None or direct is None:
-                continue  # bijection coverage problems are reported elsewhere
-            if gm_jk is None or via_j not in gm_jk.forward:
-                report.add("A3-domain", f"{loc}:{cell}", "composite map undefined on overlap")
-                continue
-            if gm_jk.forward[via_j] != direct:
-                report.add("A3", f"{loc}:{cell}", "cocycle condition violated")
-        # extension cocycle on the closure of the overlap, needed so that
-        # restrictions between intersection closures compose coherently
-        closed_overlap = closure(CellSet.of(system.pieces[i], overlap)).members
-        for cell in sorted(closed_overlap - overlap):
-            if cell not in gm_ij.closure_forward or cell not in gm_ik.closure_forward:
-                continue
-            via_j = gm_ij.closure_forward[cell]
-            if gm_jk is None or via_j not in gm_jk.closure_forward:
-                report.add(
-                    "A3-closure-domain", f"{loc}:{cell}", "extension composite undefined on overlap closure"
-                )
-                continue
-            if gm_jk.closure_forward[via_j] != gm_ik.closure_forward[cell]:
-                report.add("A3-closure", f"{loc}:{cell}", "closure extensions violate the cocycle")
+    """A3 on each triple (i, j, k) of distinct pieces with gluings i->j and
+    i->k, in (i, j, k) order: the maps compose on the overlap U_ij & U_ik,
+    and the closure extensions on the rest of its closure.  A triple with an
+    empty overlap has nothing to check.  Each cell gives at most one issue;
+    a triple's issues come in cell order, the overlap's before its closure's.
+    """
+    names = system.names
+    partners: dict[int, list[int]] = {i: [] for i in range(system.n())}
+    for i, j in sorted(system.maps):
+        if i != j and i in partners and j in partners:
+            partners[i].append(j)
+    for i, links in partners.items():
+        piece = system.pieces[i]
+        closed: dict[frozenset[str], frozenset[str]] = {}
+        for j in links:
+            gm_ij = system.maps[(i, j)]
+            region_ij = system.region(i, j).members
+            for k in links:
+                if k == j:
+                    continue
+                overlap = region_ij & system.region(i, k).members
+                if not overlap:
+                    continue
+                gm_ik = system.maps[(i, k)]
+                gm_jk = system.maps.get((j, k))
+                found: list[tuple[int, str, str, str]] = []
+                forward_ij, forward_ik = gm_ij.forward, gm_ik.forward
+                forward_jk = gm_jk.forward if gm_jk is not None else None
+                for cell in overlap:
+                    via_j = forward_ij.get(cell)
+                    direct = forward_ik.get(cell)
+                    if via_j is None or direct is None:
+                        continue  # bijection coverage problems are reported elsewhere
+                    if forward_jk is None or via_j not in forward_jk:
+                        found.append((0, cell, "A3-domain", "composite map undefined on overlap"))
+                    elif forward_jk[via_j] != direct:
+                        found.append((0, cell, "A3", "cocycle condition violated"))
+                # extension cocycle on the closure of the overlap, needed so that
+                # restrictions between intersection closures compose coherently
+                closed_overlap = closed.get(overlap)
+                if closed_overlap is None:
+                    closed_overlap = closed[overlap] = closure(CellSet(piece, overlap)).members
+                extension_ij, extension_ik = gm_ij.closure_forward, gm_ik.closure_forward
+                extension_jk = gm_jk.closure_forward if gm_jk is not None else None
+                for cell in closed_overlap - overlap:
+                    if cell not in extension_ij or cell not in extension_ik:
+                        continue
+                    via_j = extension_ij[cell]
+                    if extension_jk is None or via_j not in extension_jk:
+                        found.append(
+                            (1, cell, "A3-closure-domain", "extension composite undefined on overlap closure")
+                        )
+                    elif extension_jk[via_j] != extension_ik[cell]:
+                        found.append((1, cell, "A3-closure", "closure extensions violate the cocycle"))
+                if found:
+                    loc = f"A3({names[i]},{names[j]},{names[k]})"
+                    found.sort()
+                    for _, cell, rule, message in found:
+                        report.add(rule, f"{loc}:{cell}", message)
 
 
 # -- structure --------------------------------------------------------------

@@ -9,12 +9,13 @@ is a pure function.
 
 The two data classes a system document carries besides its pieces and
 gluings, :class:`CoreAssignment` and :class:`MetricComplex`, are defined here
-too, so that loading a document loads no computation module.
+too, so that loading a document loads no computation module.  The classes
+are plain slotted classes with written-out constructors, compared by
+identity, so that importing this module generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .errors import PreconditionError, ValidationReport
@@ -22,27 +23,27 @@ from .errors import PreconditionError, ValidationReport
 Node = TypeVar("Node", bound=Hashable)
 
 
-@dataclass(frozen=True, eq=False)
 class CellComplex:
     """Cells with explicit dimensions and signed codimension-1 incidence.
 
     ``faces[c][f]`` is the incidence sign of face ``f`` in the boundary of
-    ``c``.  References to missing cells are tolerated here and reported by
+    ``c``, and ``cofaces`` is its transpose on the existing cells.
+    References to missing cells are tolerated here and reported by
     :func:`validate_complex`.
     """
 
-    dims: Mapping[str, int]
-    faces: Mapping[str, Mapping[str, int]]
-    top_dimension: int
-    cofaces: Mapping[str, Mapping[str, int]] = field(init=False, repr=False)
+    __slots__ = ("dims", "faces", "top_dimension", "cofaces")
 
-    def __post_init__(self) -> None:
-        cofaces: dict[str, dict[str, int]] = {c: {} for c in self.dims}
-        for cell, fs in self.faces.items():
+    def __init__(self, dims: Mapping[str, int], faces: Mapping[str, Mapping[str, int]], top_dimension: int):
+        self.dims = dims
+        self.faces = faces
+        self.top_dimension = top_dimension
+        cofaces: dict[str, dict[str, int]] = {c: {} for c in dims}
+        for cell, fs in faces.items():
             for face, sign in fs.items():
                 if face in cofaces:
                     cofaces[face][cell] = sign
-        object.__setattr__(self, "cofaces", cofaces)
+        self.cofaces = cofaces
 
     @classmethod
     def build(
@@ -75,17 +76,17 @@ class CellComplex:
         return CellSet(self, frozenset(self.dims))
 
 
-@dataclass(frozen=True, eq=False)
 class CellSet:
     """A subset of the cells of one complex."""
 
-    owner: CellComplex
-    members: frozenset[str]
+    __slots__ = ("owner", "members")
 
-    def __post_init__(self) -> None:
-        missing = [c for c in self.members if c not in self.owner.dims]
+    def __init__(self, owner: CellComplex, members: frozenset[str]):
+        missing = [c for c in members if c not in owner.dims]
         if missing:
             raise ValueError(f"cells not in owner complex: {sorted(missing)[:5]}")
+        self.owner = owner
+        self.members = members
 
     @classmethod
     def of(cls, owner: CellComplex, members: Iterable[str]) -> "CellSet":
@@ -106,30 +107,36 @@ class CellSet:
         return len(self.members)
 
 
-@dataclass(frozen=True, eq=False)
 class Orientation:
     """Sign assignment on the top-dimensional cells of one complex."""
 
-    signs: Mapping[str, int]
+    __slots__ = ("signs",)
+
+    def __init__(self, signs: Mapping[str, int]):
+        self.signs = signs
 
     def sign(self, cell: str) -> int:
         return self.signs[cell]
 
 
-@dataclass(eq=False)
 class CoreAssignment:
     """Per normalized index tuple, a face-closed subcomplex of the open
     intersection that is declared homotopy-equivalent to it."""
 
-    cores: dict[tuple[int, ...], CellSet] = field(default_factory=dict)
+    __slots__ = ("cores",)
+
+    def __init__(self, cores: dict[tuple[int, ...], CellSet] | None = None):
+        self.cores = {} if cores is None else cores
 
 
-@dataclass(frozen=True, eq=False)
 class MetricComplex:
     """A pure 2-dimensional piece together with positive edge lengths."""
 
-    base: CellComplex
-    edge_lengths: Mapping[str, float]
+    __slots__ = ("base", "edge_lengths")
+
+    def __init__(self, base: CellComplex, edge_lengths: Mapping[str, float]):
+        self.base = base
+        self.edge_lengths = edge_lengths
 
     def length(self, edge: str) -> float:
         return self.edge_lengths[edge]

@@ -1,8 +1,11 @@
-"""Exceptions and the structured validation report shared by all modules."""
+"""Exceptions and the structured validation report shared by all modules.
+
+The report classes are plain slotted classes with written-out constructors:
+every command builds a report, and generating the methods at import time
+would cost a cold start more than the rest of this module.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class NonHausdorffError(Exception):
@@ -37,21 +40,41 @@ class SchemaError(NonHausdorffError):
     """A document does not conform to the repository JSON schema."""
 
 
-@dataclass(frozen=True)
 class ValidationIssue:
-    rule: str
-    location: str
-    message: str
+    """One violation; issues compare and hash by value."""
+
+    __slots__ = ("rule", "location", "message")
+
+    def __init__(self, rule: str, location: str, message: str):
+        self.rule = rule
+        self.location = location
+        self.message = message
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.location, self.message) == (other.rule, other.location, other.message)
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.location, self.message))
 
     def render(self) -> str:
         return f"[{self.rule}] {self.location}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    """Accumulates invariant violations; an empty report means 'valid'."""
+    """Accumulates invariant violations; an empty report means 'valid'.
+    Reports compare equal when their issues are, and are unhashable."""
 
-    issues: list[ValidationIssue] = field(default_factory=list)
+    __slots__ = ("issues",)
+
+    def __init__(self, issues: list[ValidationIssue] | None = None):
+        self.issues = [] if issues is None else issues
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.issues == other.issues
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ comes from :mod:`cohomology`, which only the Gauss-Bonnet report loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .adjunction import AdjunctionSystem, nerve
@@ -160,16 +159,25 @@ def _domain_angle_sums(piece_angles: dict[str, dict[str, float]], domain: CellSe
     return acc
 
 
-@dataclass(eq=False)
 class CurvatureLedger:
     """Angle defects per vertex of each piece, and turning angles along the
     frontier cycles of the intersection closure of each nerve tuple."""
 
-    piece_defects: list[dict[str, float]]
-    piece_totals: list[float]
-    tuple_interior_totals: dict[tuple[int, ...], float]
-    turning_angles: dict[tuple[int, ...], dict[str, float]]
-    tuple_turning_totals: dict[tuple[int, ...], float]
+    __slots__ = ("piece_defects", "piece_totals", "tuple_interior_totals", "turning_angles", "tuple_turning_totals")
+
+    def __init__(
+        self,
+        piece_defects: list[dict[str, float]],
+        piece_totals: list[float],
+        tuple_interior_totals: dict[tuple[int, ...], float],
+        turning_angles: dict[tuple[int, ...], dict[str, float]],
+        tuple_turning_totals: dict[tuple[int, ...], float],
+    ):
+        self.piece_defects = piece_defects
+        self.piece_totals = piece_totals
+        self.tuple_interior_totals = tuple_interior_totals
+        self.turning_angles = turning_angles
+        self.tuple_turning_totals = tuple_turning_totals
 
 
 def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> CurvatureLedger:
@@ -214,24 +222,41 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
     )
 
 
-@dataclass(eq=False)
 class GaussBonnetRow:
-    tup: tuple[int, ...]
-    sign: int
-    interior_defect: float
-    turning: float
+    """One ledger row: a piece or nerve tuple, its inclusion-exclusion sign,
+    its interior angle defect and its frontier turning."""
+
+    __slots__ = ("tup", "sign", "interior_defect", "turning")
+
+    def __init__(self, tup: tuple[int, ...], sign: int, interior_defect: float, turning: float):
+        self.tup = tup
+        self.sign = sign
+        self.interior_defect = interior_defect
+        self.turning = turning
 
 
-@dataclass(eq=False)
 class GaussBonnetReport:
-    chi: int
-    lhs: float
-    curvature_half_integral: float
-    counterterms: float
-    rhs: float
-    residual: float
-    rows: list[GaussBonnetRow]
-    ledger: CurvatureLedger
+    __slots__ = ("chi", "lhs", "curvature_half_integral", "counterterms", "rhs", "residual", "rows", "ledger")
+
+    def __init__(
+        self,
+        chi: int,
+        lhs: float,
+        curvature_half_integral: float,
+        counterterms: float,
+        rhs: float,
+        residual: float,
+        rows: list[GaussBonnetRow],
+        ledger: CurvatureLedger,
+    ):
+        self.chi = chi
+        self.lhs = lhs
+        self.curvature_half_integral = curvature_half_integral
+        self.counterterms = counterterms
+        self.rhs = rhs
+        self.residual = residual
+        self.rows = rows
+        self.ledger = ledger
 
 
 def gauss_bonnet_report(

@@ -17,7 +17,6 @@ Only cochain documents need :mod:`cochains` and ``Fraction``, so
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NoReturn
 
 from .adjunction import AdjunctionSystem
@@ -30,12 +29,22 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 
 
-@dataclass(eq=False)
 class LoadedSystem:
-    name: str
-    system: AdjunctionSystem
-    cores: CoreAssignment | None
-    metrics: list[MetricComplex] | None
+    """A parsed system document: the system and its optional cores and metrics."""
+
+    __slots__ = ("name", "system", "cores", "metrics")
+
+    def __init__(
+        self,
+        name: str,
+        system: AdjunctionSystem,
+        cores: CoreAssignment | None,
+        metrics: list[MetricComplex] | None,
+    ):
+        self.name = name
+        self.system = system
+        self.cores = cores
+        self.metrics = metrics
 
 
 def _fail(field: str, message: str) -> NoReturn:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,17 @@ from nonhausdorff.cohomology import CoreAssignment
 from nonhausdorff.errors import NonHausdorffError
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter: the source tree on its path,
+    and ``PYTHONDONTWRITEBYTECODE`` when the tests run with it, so that a
+    child does not write the bytecode its parent was told not to."""
+    env = {"PYTHONPATH": str(SRC)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 GOOD_FIXTURES = [
     "line_two_origins",

@@ -23,7 +23,9 @@ unit pivots on ``int`` entries (test_linalg.py).
 
 The loading references are ``parse_document`` and the validation of
 complexes, orientations, gluing maps and systems as they were before the
-parser and the validators dropped their per-cell overhead (test_loading.py).
+parser and the validators dropped their per-cell overhead, and the cocycle
+check over all n(n-1)(n-2) ordered piece triples, as it was before it walked
+only each piece's gluing partners (test_loading.py).
 
 The Fraction cochain references are ``coboundary``, ``assemble_global``,
 ``integrate`` and ``stokes_defect`` as they were before the library moved
@@ -36,6 +38,10 @@ The binary Stokes reference is the oriented frontier sum that
 (test_cochains.py).  The re-gluing reference rebuilds the glued cell classes
 by splitting off the last piece and gluing it back along the union of its
 regions (test_adjunction.py).
+
+The coface reference is the transpose of the incidence that ``CellComplex``
+computed after construction, when it was a frozen dataclass
+(test_plain_classes.py).
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from nonhausdorff.adjunction import (
     AdjunctionSystem,
     ClassKey,
     GluingMap,
-    _validate_cocycles,
     glued_cell_classes,
     nerve,
     union_of_regions,
@@ -340,6 +345,15 @@ def fraction_stokes_defect(w: GlobalCochain) -> tuple[Fraction, Fraction]:
         term = sum(sign * w.value(ref, cell) for cell, sign in signs.items())
         rhs -= (-1) ** len(entry.tup) * term
     return lhs, rhs
+
+
+def cofaces(c: CellComplex) -> dict[str, dict[str, int]]:
+    cofaces: dict[str, dict[str, int]] = {cell: {} for cell in c.dims}
+    for cell, fs in c.faces.items():
+        for face, sign in fs.items():
+            if face in cofaces:
+                cofaces[face][cell] = sign
+    return cofaces
 
 
 def reglue_classes(system: AdjunctionSystem) -> list[ClassKey]:
@@ -892,6 +906,42 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
                             "gluing map reverses orientation",
                         )
     return report
+
+
+def _validate_cocycles(system: AdjunctionSystem, report: ValidationReport) -> None:
+    n = system.n()
+    for i, j, k in itertools.permutations(range(n), 3):
+        gm_ij = system.gluing(i, j)
+        gm_ik = system.gluing(i, k)
+        gm_jk = system.gluing(j, k)
+        if gm_ij is None or gm_ik is None:
+            continue
+        overlap = system.region(i, j).members & system.region(i, k).members
+        loc = f"A3({system.names[i]},{system.names[j]},{system.names[k]})"
+        for cell in sorted(overlap):
+            via_j = gm_ij.forward.get(cell)
+            direct = gm_ik.forward.get(cell)
+            if via_j is None or direct is None:
+                continue  # bijection coverage problems are reported elsewhere
+            if gm_jk is None or via_j not in gm_jk.forward:
+                report.add("A3-domain", f"{loc}:{cell}", "composite map undefined on overlap")
+                continue
+            if gm_jk.forward[via_j] != direct:
+                report.add("A3", f"{loc}:{cell}", "cocycle condition violated")
+        # extension cocycle on the closure of the overlap, needed so that
+        # restrictions between intersection closures compose coherently
+        closed_overlap = closure(CellSet.of(system.pieces[i], overlap)).members
+        for cell in sorted(closed_overlap - overlap):
+            if cell not in gm_ij.closure_forward or cell not in gm_ik.closure_forward:
+                continue
+            via_j = gm_ij.closure_forward[cell]
+            if gm_jk is None or via_j not in gm_jk.closure_forward:
+                report.add(
+                    "A3-closure-domain", f"{loc}:{cell}", "extension composite undefined on overlap closure"
+                )
+                continue
+            if gm_jk.closure_forward[via_j] != gm_ik.closure_forward[cell]:
+                report.add("A3-closure", f"{loc}:{cell}", "closure extensions violate the cocycle")
 
 
 def _validate_gluing_map(

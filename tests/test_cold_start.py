@@ -4,7 +4,8 @@ Each case runs in a fresh interpreter, so the modules it finds loaded are the
 ones the command itself imported.  A command loads only the modules it runs:
 ``hausdorff`` needs no cohomology, and ``validate`` on a document with edge
 lengths needs ``geometry`` but not the cohomology or linear algebra behind
-Gauss-Bonnet.  The ``python -m nonhausdorff.cli`` path is replayed against
+Gauss-Bonnet.  Neither loads ``dataclasses`` or what it pulls in, such as
+``inspect``.  The ``python -m nonhausdorff.cli`` path is replayed against
 the golden outputs recorded through ``cli.main``.
 """
 
@@ -18,13 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, child_env
 from test_golden import COMMANDS, case_paths
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 TORI = str(FIXTURES_DIR / "glued_tori.json")
+LINE = str(FIXTURES_DIR / "line_two_origins.json")
 COMPUTATION = {"nonhausdorff.cohomology", "nonhausdorff.linalg", "nonhausdorff.cochains", "nonhausdorff.geometry"}
+CODE_GENERATION = {"dataclasses", "inspect"}
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -33,17 +35,20 @@ def run_python(args: list[str]) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(SRC)},
+        env=child_env(),
         timeout=120,
     )
 
 
 def loaded_after(argv: list[str] | None) -> set[str]:
-    """The ``nonhausdorff`` modules loaded after importing the CLI and, if
-    ``argv`` is given, running ``cli.main(argv)`` with its output discarded."""
+    """The modules loaded after interpreter start by importing the CLI and,
+    if ``argv`` is given, running ``cli.main(argv)`` with its output
+    discarded.  What ``site`` loaded before the command does not count."""
     code = textwrap.dedent(
         f"""
-        import contextlib, io, json, sys
+        import sys
+        started = set(sys.modules)
+        import contextlib, io, json
         from nonhausdorff import cli
         argv = {argv!r}
         if argv is not None:
@@ -51,7 +56,7 @@ def loaded_after(argv: list[str] | None) -> set[str]:
                 code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"exit {{code}}")
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("nonhausdorff"))))
+        print(json.dumps(sorted(set(sys.modules) - started)))
         """
     )
     result = run_python(["-c", code])
@@ -74,6 +79,15 @@ def test_cold_validate_with_metrics_loads_geometry_only():
     loaded = loaded_after(["--json", "validate", TORI])
     assert "nonhausdorff.geometry" in loaded
     assert not loaded & {"nonhausdorff.cohomology", "nonhausdorff.linalg"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--json", "hausdorff", TORI], ["--json", "validate", LINE], ["--json", "validate", TORI]],
+    ids=["hausdorff-tori", "validate-line", "validate-tori"],
+)
+def test_cold_commands_generate_no_code(argv):
+    assert not loaded_after(argv) & CODE_GENERATION
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

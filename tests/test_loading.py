@@ -9,19 +9,20 @@ must be the same for the library and the reference.
 Systems built in-process can break rules that no document reaches (a map
 whose source is not its region, a negative dimension, an incidence row of an
 unknown cell, a bad sign); a second test alters such systems directly and
-compares the validation issues alone.
+compares the validation issues alone.  A third alters only gluing maps of
+covers with triple overlaps, so that the cocycle conditions A3 and
+A3-closure fail, and compares the cocycle issues.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import oracle
-from nonhausdorff.adjunction import AdjunctionSystem, validate_system
+from nonhausdorff.adjunction import AdjunctionSystem, GluingMap, _validate_cocycles, validate_system
 from nonhausdorff.cells import CellComplex, CellSet, Orientation
-from nonhausdorff.errors import SchemaError
+from nonhausdorff.errors import SchemaError, ValidationReport
 from nonhausdorff.fixtures import FIXTURE_BUILDERS, serialize_fixture
 from nonhausdorff.schema import parse_document
 
@@ -97,6 +98,13 @@ def shuffled(table: dict, rng: random.Random) -> dict:
     return dict(items)
 
 
+def replaced(gm: GluingMap, **changes) -> GluingMap:
+    """A copy of ``gm`` with the named fields replaced."""
+    fields = {name: getattr(gm, name) for name in GluingMap.__slots__}
+    fields.update(changes)
+    return GluingMap(**fields)
+
+
 def alter(system: AdjunctionSystem, rng: random.Random) -> AdjunctionSystem:
     """A copy of ``system`` with one complex, region, map or orientation
     altered, and every table in a random order."""
@@ -119,7 +127,7 @@ def alter(system: AdjunctionSystem, rng: random.Random) -> AdjunctionSystem:
         field = rng.choice(["forward", "closure_forward", "source", "target"])
         if field in ("source", "target"):
             owner = gm.source.owner if field == "source" else gm.target.owner
-            maps[key] = replace(gm, **{field: CellSet.of(owner, rng.sample(sorted(owner.dims), 2))})
+            maps[key] = replaced(gm, **{field: CellSet.of(owner, rng.sample(sorted(owner.dims), 2))})
         elif getattr(gm, field):
             table = dict(getattr(gm, field))
             for cell in rng.sample(sorted(table), min(len(table), rng.randint(1, 3))):
@@ -127,7 +135,7 @@ def alter(system: AdjunctionSystem, rng: random.Random) -> AdjunctionSystem:
                     del table[cell]
                 else:
                     table[cell] = rng.choice(sorted(dims[key[1]]))
-            maps[key] = replace(gm, **{field: table})
+            maps[key] = replaced(gm, **{field: table})
     elif what == "orientation" and signs:
         if rng.random() < 0.3:
             signs.pop()
@@ -157,7 +165,7 @@ def alter(system: AdjunctionSystem, rng: random.Random) -> AdjunctionSystem:
         for d, f in zip(dims, faces)
     ]
     maps = {
-        key: replace(gm, forward=shuffled(gm.forward, rng), closure_forward=shuffled(gm.closure_forward, rng))
+        key: replaced(gm, forward=shuffled(gm.forward, rng), closure_forward=shuffled(gm.closure_forward, rng))
         for key, gm in shuffled(maps, rng).items()
     }
     orientations = None if signs is None else [Orientation(shuffled(table, rng)) for table in signs]
@@ -184,3 +192,51 @@ def test_validation_matches_the_reference_on_altered_systems():
             rules.update(issue[0] for issue in want[1] if want[0] == "issues")
     # the alterations reach the rules that documents cannot
     assert {"cell-dimension", "dangling-cell", "incidence-sign", "map-domain", "orientation-sign"} <= rules, rules
+
+
+def break_cocycle(system: AdjunctionSystem, rng: random.Random) -> AdjunctionSystem:
+    """A copy of ``system`` with one gluing map dropped, or a few of its
+    images moved or deleted: on the region for ``forward``, on the frontier
+    for ``closure_forward``."""
+    maps = dict(system.maps)
+    key = rng.choice(sorted(maps))
+    gm = maps[key]
+    if rng.random() < 0.1:
+        del maps[key]
+    else:
+        field = rng.choice(["forward", "closure_forward"])
+        table = dict(getattr(gm, field))
+        cells = sorted(table.keys() - gm.forward.keys()) if field == "closure_forward" else []
+        cells = cells or sorted(table)
+        targets = sorted(system.pieces[key[1]].dims)
+        for cell in rng.sample(cells, min(len(cells), rng.randint(1, 3))):
+            if rng.random() < 0.3:
+                del table[cell]
+            else:
+                table[cell] = rng.choice(targets)
+        maps[key] = replaced(gm, **{field: table})
+    return AdjunctionSystem(system.pieces, system.names, system.regions, maps, system.orientations)
+
+
+def cocycle_issues(validate, system: AdjunctionSystem) -> list[tuple[str, str, str]]:
+    report = ValidationReport()
+    validate(system, report)
+    return [(i.rule, i.location, i.message) for i in report.issues]
+
+
+def test_cocycle_check_matches_the_reference_on_broken_cocycles():
+    rng = random.Random(1613)
+    systems = [FIXTURE_BUILDERS[name]().system for name in sorted(FIXTURE_BUILDERS)]
+    systems += [fx.system for fx in (k_origin_line(3), k_origin_line(4), hub_with_spokes(3, 2))]
+    rules: dict[str, int] = {}
+    for system in systems:
+        if system.n() < 3:
+            continue
+        assert cocycle_issues(_validate_cocycles, system) == cocycle_issues(oracle._validate_cocycles, system)
+        for _ in range(40):
+            broken = break_cocycle(system, rng)
+            want = cocycle_issues(oracle._validate_cocycles, broken)
+            assert cocycle_issues(_validate_cocycles, broken) == want
+            for rule, _, _ in want:
+                rules[rule] = rules.get(rule, 0) + 1
+    assert min(rules.get(rule, 0) for rule in ("A3", "A3-domain", "A3-closure", "A3-closure-domain")) >= 10, rules

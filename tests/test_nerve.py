@@ -17,7 +17,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,9 +40,8 @@ from nonhausdorff.errors import PreconditionError
 from nonhausdorff.fixtures import FIXTURE_BUILDERS, closure_violation
 from nonhausdorff.schema import serialize_system
 
-from conftest import hub_with_spokes, k_origin_line, outcome, random_global_cochain
+from conftest import child_env, hub_with_spokes, k_origin_line, outcome, random_global_cochain
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 covers = st.one_of(
     st.sampled_from(sorted(FIXTURE_BUILDERS)).map(lambda name: FIXTURE_BUILDERS[name]()),
@@ -211,7 +209,7 @@ def test_cross_checks_raise_under_optimisation():
         [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC)},
+        env=child_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
