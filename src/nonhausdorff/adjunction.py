@@ -234,9 +234,9 @@ class NerveTuple:
         return self.closed.members == self.closure_meet
 
 
-def nerve(system: AdjunctionSystem, max_tuple: int | None = None) -> list[NerveTuple]:
-    """The tuples of at most ``max_tuple`` pieces whose intersection can be
-    nonempty, in (size, tuple) order.
+def nerve(system: AdjunctionSystem) -> list[NerveTuple]:
+    """The tuples of two or more pieces whose intersection can be nonempty,
+    in (size, tuple) order.
 
     For each first index i, ascending tuples are extended one index k at a
     time, intersecting the closures of the regions U_ik (``closure_meet``);
@@ -246,7 +246,6 @@ def nerve(system: AdjunctionSystem, max_tuple: int | None = None) -> list[NerveT
     empty closure meet.  The cost is O(n^2 + tuples visited), not 2^n.
     """
     n = system.n()
-    cap = n if max_tuple is None else min(n, max_tuple)
     out: list[NerveTuple] = []
     for i in range(n):
         links = []
@@ -257,8 +256,6 @@ def nerve(system: AdjunctionSystem, max_tuple: int | None = None) -> list[NerveT
         stack: list[tuple[tuple[int, ...], frozenset[str] | None, int]] = [((i,), None, 0)]
         while stack:
             tup, meet, start = stack.pop()
-            if len(tup) >= cap:
-                continue
             for pos in range(start, len(links)):
                 k, region_closure = links[pos]
                 joined = region_closure if meet is None else meet & region_closure
@@ -542,28 +539,15 @@ def quotient_complex(system: AdjunctionSystem) -> tuple[CellComplex, CellClasses
     doubled frontier would be ambiguous."""
     if hausdorff_pairs(system):
         raise PreconditionError("quotient_complex: system has Hausdorff-violating pairs")
+    # the class builder is shared with the global cochains and lives with
+    # them, off the path of a cold validate or hausdorff, which load this module
+    from .cohomology import class_boundaries
+
     classes = glued_cell_classes(system)
-
-    def label(key: ClassKey) -> str:
-        i, c = key[0]
-        return f"{i}:{c}"
-
-    dims: dict[str, int] = {}
-    faces: dict[str, dict[str, int]] = {}
-    for key in classes.classes:
-        i, c = key[0]
-        dims[label(key)] = system.pieces[i].dims[c]
-        row: dict[str, int] = {}
-        for face, sign in system.pieces[i].faces_of(c).items():
-            row[label(classes.class_of(i, face))] = sign
-        faces[label(key)] = row
-        # incidence must agree from every member, else the quotient is bogus
-        for (pj, cj) in key[1:]:
-            other = {
-                label(classes.class_of(pj, f)): s for f, s in system.pieces[pj].faces_of(cj).items()
-            }
-            if other != row:
-                raise PreconditionError(
-                    f"quotient_complex: incidence mismatch on class {label(key)}"
-                )
-    return CellComplex.build(dims.items(), faces), classes
+    labels = [f"{i}:{c}" for (i, c), *_ in classes.classes]
+    dims, rows, mismatch = class_boundaries(system, classes)
+    # incidence must agree from every member, else the quotient is bogus
+    if mismatch is not None:
+        raise PreconditionError(f"quotient_complex: incidence mismatch on class {labels[mismatch]}")
+    faces = {labels[k]: {labels[face]: sign for face, sign in row.items()} for k, row in enumerate(rows)}
+    return CellComplex.build(zip(labels, dims), faces), classes

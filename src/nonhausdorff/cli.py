@@ -20,6 +20,7 @@ from .adjunction import (
     glued_cell_classes,
     hausdorff_pairs,
     closure_intersection_check,
+    nerve,
     regular_open_check,
     validate_system,
 )
@@ -164,11 +165,15 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
     from . import cohomology
 
     flavor_key = args.flavor
-    flavor = cohomology.Flavor[FLAVORS[flavor_key]]
-    bicx = cohomology.build_bicomplex(loaded.system, flavor, loaded.cores)
-    values = cohomology.total_betti(bicx)
+    system = loaded.system
+    if flavor_key == "dr":
+        values = cohomology.de_rham_betti(system)
+    else:
+        flavor = cohomology.Flavor[FLAVORS[flavor_key]]
+        values = cohomology.total_betti(cohomology.build_bicomplex(system, flavor, loaded.cores))
     display = cohomology.trim_trailing_zeros(values)
-    display += [0] * (bicx.max_q + 1 - len(display))
+    top = max(piece.top_dimension for piece in system.pieces)
+    display += [0] * (top + 1 - len(display))
     payload = {"flavor": flavor_key, "betti": display}
     out.emit(_report("betti", "ok", payload, []), f"betti[{flavor_key}] = {display}")
     return EXIT_OK
@@ -177,8 +182,10 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
 def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
     from . import cohomology
 
-    chi = cohomology.euler_inclusion_exclusion(loaded.system, loaded.cores)
-    bicx = cohomology.build_bicomplex(loaded.system, cohomology.Flavor.OPEN_CORE, loaded.cores)
+    system, cores = loaded.system, loaded.cores
+    entries = nerve(system)
+    chi = cohomology.euler_inclusion_exclusion(system, cores, entries=entries)
+    bicx = cohomology.build_bicomplex(system, cohomology.Flavor.OPEN_CORE, cores, entries=entries)
     betti_open = cohomology.total_betti(bicx)
     alternating = sum((-1) ** q * b for q, b in enumerate(betti_open))
     payload = {

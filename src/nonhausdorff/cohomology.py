@@ -9,14 +9,26 @@ Two bicomplex flavors are computed over the cover by the pieces:
   carry the homotopy type of the open intersections; its total complex is the
   singular-style cohomology.
 
-Both share one exact-rank engine, :meth:`linalg.Mat.rank` (reached through
-the clearing of :func:`linalg.complex_ranks` for a complex whose d∘d = 0
-has been checked), and one Cech differential with the alternating-sign
-restriction convention whose binary block is (restriction) - (pullback
-along the closure extension).  Every matrix assembled here has entries +-1
-(or their sums), stored as ``int``, so assembly, the d-d checks and the
-unit-pivot elimination behind the rank run on integers; a ``Fraction``
-appears only if elimination meets a row without a +-1 entry.
+Where the closure-intersection property holds, the Cech rows of the
+CLOSED_INTERSECTION bicomplex are exact, so its total cohomology is that of
+the global cochains (the generalized Mayer-Vietoris principle, Bott-Tu
+Prop. 8.8).  Those are the cochains of one small complex, whose cells are
+the classes of (piece, cell) pairs under the closure extensions of the
+gluing maps; ``betti --flavor dr``, the comparison and the fibre-product
+Betti numbers rank that complex instead of the bicomplex, and build the
+bicomplex only where the property or a guard of the class complex fails.
+The Mayer-Vietoris report and the row-exactness check keep the bicomplex,
+whose columns and rows they read.
+
+All of it shares one exact-rank engine, :meth:`linalg.Mat.rank` (reached
+through the clearing of :func:`linalg.complex_ranks` for a complex whose
+d∘d = 0 has been checked), and one Cech differential with the
+alternating-sign restriction convention whose binary block is
+(restriction) - (pullback along the closure extension).  Every matrix
+assembled here has entries +-1 (or their sums), stored as ``int``, so
+assembly, the d-d checks and the unit-pivot elimination behind the rank run
+on integers; a ``Fraction`` appears only if elimination meets a row without
+a +-1 entry.
 
 :class:`CoreAssignment` is defined in :mod:`cells`, so that loading a document
 does not load this module, and is re-exported here.
@@ -30,13 +42,22 @@ from typing import Sequence
 
 from .adjunction import (
     AdjunctionSystem,
+    CellClasses,
+    ClassKey,
     NerveTuple,
-    closure_intersection_check,
     nerve,
     regular_open_check,
     union_of_regions,
 )
-from .cells import CellSet, CoreAssignment, euler_characteristic, interior, closure, is_face_closed
+from .cells import (
+    CellSet,
+    CoreAssignment,
+    closure,
+    equivalence_classes,
+    euler_characteristic,
+    interior,
+    is_face_closed,
+)
 from .errors import PreconditionError
 from .linalg import Mat, complex_ranks
 
@@ -84,21 +105,6 @@ def _betti_from_ranks(dims: list[int], ranks: dict[int, int]) -> list[int]:
     return [dims[q] - ranks.get(q, 0) - ranks.get(q - 1, 0) for q in range(len(dims))]
 
 
-def _stacked_rank(*block_rows: list[Mat]) -> int:
-    """Rank of the block matrix with the given block rows, blocks placed left
-    to right; a block row shorter than the first is padded with zero blocks."""
-    rows: list[dict] = []
-    for blocks in block_rows:
-        for r in range(blocks[0].nrows):
-            row: dict = {}
-            offset = 0
-            for block in blocks:
-                row.update((offset + c, v) for c, v in block.rows[r].items())
-                offset += block.ncols
-            rows.append(row)
-    return Mat(len(rows), sum(block.ncols for block in block_rows[0]), rows).rank()
-
-
 def complex_free_complex(c) -> FreeComplex:
     """The cellular cochain complex of one cell complex."""
     max_q = c.top_dimension
@@ -132,24 +138,17 @@ def resolve_cores(
     Only tuples with a nonempty open intersection get an entry; every other
     core is empty, and a nonempty one declared there is rejected.
     """
-    return _resolve_cores(system, assignment, nerve(system), None)
+    return _resolve_cores(system, assignment, nerve(system))
 
 
 def _resolve_cores(
-    system: AdjunctionSystem,
-    assignment: CoreAssignment | None,
-    entries: list[NerveTuple],
-    max_tuple: int | None,
+    system: AdjunctionSystem, assignment: CoreAssignment | None, entries: list[NerveTuple]
 ) -> dict[tuple[int, ...], CellSet]:
     given = assignment.cores if assignment is not None else {}
     domains = {entry.tup: entry.domain for entry in entries if entry.domain.members}
     # every other tuple has an empty open intersection, so only a nonempty
     # core declared on one of them can fail
-    stray = {
-        tup
-        for tup, core in given.items()
-        if core.members and tup not in domains and (max_tuple is None or len(tup) <= max_tuple)
-    }
+    stray = {tup for tup, core in given.items() if core.members and tup not in domains}
     resolved: dict[tuple[int, ...], CellSet] = {}
     for tup in sorted(domains.keys() | stray, key=lambda t: (len(t), t)):
         domain = domains[tup] if tup in domains else CellSet.of(system.pieces[tup[0]], ())
@@ -217,7 +216,13 @@ class Bicomplex:
         return mat if mat is not None else Mat.zeros(self.dim(p + 1, q), self.dim(p, q))
 
     def verify(self) -> None:
-        """delta^2 = 0, d^2 = 0 and d delta = delta d on every grid cell."""
+        """delta^2 = 0, d^2 = 0 and d delta = delta d on every grid cell.
+
+        No library path calls this: the guards of the class complex check
+        that d preserves the global cochains, and the d∘d check of the total
+        complex covers the rest.  It stays for the tests, and because the
+        benchmark tracer binds it by name, as it does ``FreeComplex.validate``.
+        """
         for p in range(self.columns()):
             for q in range(self.max_q + 1):
                 d_here = self.vertical.get((p, q))
@@ -290,42 +295,40 @@ class Bicomplex:
 
 
 def _column_tuples(
-    system: AdjunctionSystem, domains: dict[tuple[int, ...], CellSet], max_tuple: int | None
+    system: AdjunctionSystem, domains: dict[tuple[int, ...], CellSet]
 ) -> list[list[tuple[int, ...]]]:
     """Column p lists the (p+1)-tuples that carry a domain; a column is kept,
-    possibly empty, for every arity up to the cap, so the shape of the total
-    complex does not depend on which intersections are empty."""
+    possibly empty, for every arity, so the shape of the total complex does
+    not depend on which intersections are empty."""
     n = system.n()
-    cap = n if max_tuple is None else min(n, max_tuple)
     columns: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
-    for size in range(2, cap + 1):
+    for size in range(2, n + 1):
         columns.append(sorted(tup for tup in domains if len(tup) == size))
     return columns
+
+
+def _require_closure_intersection(entries: list[NerveTuple]) -> None:
+    bad = sorted(entry.tup for entry in entries if not entry.closure_ok)
+    if bad:
+        raise PreconditionError(f"closure-intersection property violated at tuple {bad[0]}")
 
 
 def _flavor_domains(
     system: AdjunctionSystem,
     flavor: Flavor,
     cores: CoreAssignment | None,
-    max_tuple: int | None,
     check_preconditions: bool,
-    entries: list[NerveTuple] | None = None,
+    entries: list[NerveTuple],
 ) -> dict[tuple[int, ...], CellSet]:
     domains: dict[tuple[int, ...], CellSet] = {
         (i,): system.pieces[i].whole_set() for i in range(system.n())
     }
-    if entries is None:
-        entries = nerve(system, max_tuple)
     if flavor is Flavor.CLOSED_INTERSECTION:
         if check_preconditions:
-            bad = sorted(entry.tup for entry in entries if not entry.closure_ok)
-            if bad:
-                raise PreconditionError(
-                    f"closure-intersection property violated at tuple {bad[0]}"
-                )
+            _require_closure_intersection(entries)
         domains.update((entry.tup, entry.closed) for entry in entries if entry.closed.members)
     else:
-        domains.update(_resolve_cores(system, cores, entries, max_tuple))
+        domains.update(_resolve_cores(system, cores, entries))
     return domains
 
 
@@ -343,20 +346,19 @@ def build_bicomplex(
     system: AdjunctionSystem,
     flavor: Flavor,
     cores: CoreAssignment | None = None,
-    max_tuple: int | None = None,
     check_preconditions: bool = True,
     *,
-    _entries: list[NerveTuple] | None = None,
+    entries: list[NerveTuple] | None = None,
 ) -> Bicomplex:
     """The bicomplex of the given flavor over the nerve of the cover.
 
-    ``max_tuple`` caps the arity of the intersections; the pairs-only global
-    complex of :func:`global_complex_betti` is its one user.  ``_entries``,
-    for callers in this module that have walked the nerve already, must be
-    ``nerve(system, max_tuple)``.
+    ``entries``, for a caller that has walked the nerve already, must be
+    ``nerve(system)``.
     """
-    domains = _flavor_domains(system, flavor, cores, max_tuple, check_preconditions, _entries)
-    return _assemble(system, flavor, _column_tuples(system, domains, max_tuple), domains)
+    if entries is None:
+        entries = nerve(system)
+    domains = _flavor_domains(system, flavor, cores, check_preconditions, entries)
+    return _assemble(system, flavor, _column_tuples(system, domains), domains)
 
 
 def _assemble(
@@ -442,25 +444,183 @@ def trim_trailing_zeros(values: Sequence[int]) -> list[int]:
 # -- the global (fibre product) complex --------------------------------------
 
 
-def global_complex_betti(system: AdjunctionSystem) -> list[int]:
-    """Betti numbers of the complex of global cochains, i.e. the kernel K of
-    delta at column p=0 of the CLOSED flavor, with componentwise d.
+def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
+    """Equivalence classes of (piece, cell) pairs under the closure
+    extension of each map i -> j with i < j, on the closure of its region:
+    the identifications that a global cochain makes, matched frontier cells
+    included.
 
-    From ranks alone, with delta_q the (0, q) block of the pairs-only
-    bicomplex (0 x dim C^q for one piece) and d_q the vertical map:
-    b_q = dim C^q - rank delta_q - r_q - r_{q-1}, where
-    r_q = rank [delta_q; d_q] - rank delta_q is the rank of d on K^q.
+    The classes come in the order of their first members, pieces in order
+    and each piece's cells in its own order, and the members of a class in
+    piece order.  Raises PreconditionError where an extension misses a
+    closure cell or sends one to a cell its target does not have.
     """
-    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, max_tuple=2, check_preconditions=False)
-    # raises unless d delta = delta d, which makes d map K^q = ker delta_q into K^{q+1}
-    bicx.verify()
-    degrees = range(bicx.max_q + 1)
-    rank_delta = [bicx.delta(0, q).rank() for q in degrees]
-    rank_on_kernel = {
-        q: _stacked_rank([bicx.delta(0, q)], [bicx.vertical[(0, q)]]) - rank_delta[q]
-        for q in range(bicx.max_q)
-    }
-    return _betti_from_ranks([bicx.dim(0, q) - rank_delta[q] for q in degrees], rank_on_kernel)
+    pieces, names = system.pieces, system.names
+    links: list[tuple[tuple[int, str], tuple[int, str]]] = []
+    for (i, j), region in sorted(system.regions.items()):
+        if i < j and region.members:
+            gm = system.maps.get((i, j))
+            extension = gm.closure_forward if gm is not None else {}
+            for cell in closure(region).members:
+                image = extension.get(cell)
+                if image not in pieces[j].dims:
+                    raise PreconditionError(
+                        f"closure extension {names[i]}->{names[j]} undefined at cell {cell!r}"
+                    )
+                links.append(((i, cell), (j, image)))
+    # only linked cells can share a class: every other cell is a singleton
+    linked = sorted({node for link in links for node in link})
+    group_of = {node: group for group in equivalence_classes(linked, links) for node in group}
+    classes: list[ClassKey] = []
+    for i, piece in enumerate(pieces):
+        for cell in piece.dims:
+            group = group_of.get((i, cell))
+            if group is None:
+                classes.append(((i, cell),))
+            elif group[0] == (i, cell):
+                classes.append(tuple(group))
+    return CellClasses(classes, {node: k for k, cls in enumerate(classes) for node in cls})
+
+
+def class_boundaries(
+    system: AdjunctionSystem, classes: CellClasses
+) -> tuple[list[int], list[dict[int, int]], int | None]:
+    """The dimension and boundary row of each class, and the index of the
+    first class whose members do not all give the same dimension and row
+    (None when every class agrees); rows are given up to that class.  Both
+    class complexes are built from it: the global cochains here and
+    :func:`adjunction.quotient_complex`.
+
+    A member's row maps the class of each face to its incidence sign, summed
+    over faces in one class, with zero sums and faces that are not cells
+    left out.
+    """
+    pieces = system.pieces
+    class_in: list[dict[str, int]] = [{} for _ in pieces]
+    for (i, cell), k in classes.index.items():
+        class_in[i][cell] = k
+
+    empty: dict[str, int] = {}
+
+    def row_of(i: int, cell: str) -> dict[int, int]:
+        where = class_in[i]
+        row: dict[int, int] = {}
+        for face, sign in pieces[i].faces.get(cell, empty).items():
+            k = where.get(face)
+            if k is not None:
+                row[k] = row[k] + sign if k in row else sign
+        if 0 in row.values():
+            row = {k: v for k, v in row.items() if v}
+        return row
+
+    dims: list[int] = []
+    rows: list[dict[int, int]] = []
+    for k, key in enumerate(classes.classes):
+        i, cell = key[0]
+        dim = pieces[i].dims[cell]
+        row = row_of(i, cell)
+        dims.append(dim)
+        if len(key) > 1:
+            for j, other in key[1:]:
+                if pieces[j].dims[other] != dim or row_of(j, other) != row:
+                    return dims, rows, k
+        rows.append(row)
+    return dims, rows, None
+
+
+def _class_complex(system: AdjunctionSystem, classes: CellClasses) -> FreeComplex:
+    """The complex of global cochains, the kernel K of delta at column 0 of
+    the CLOSED flavor, with componentwise d; ``classes`` are
+    ``closure_cell_classes(system)``.
+
+    A global cochain takes one value on each class of (piece, cell) pairs
+    under the closure extensions, so K^q is spanned by the classes of
+    dimension q.  d maps K into itself exactly when every member of a class
+    gives the same class-level boundary row, and that row is then d on K.
+    Raises PreconditionError naming the first class where they differ.
+    """
+    names = system.names
+    dims, rows, mismatch = class_boundaries(system, classes)
+    if mismatch is not None:
+        i, c = classes.classes[mismatch][0]
+        raise PreconditionError(f"global cochains: incidence mismatch on the class of {names[i]}:{c}")
+    top = max(piece.top_dimension for piece in system.pieces)
+    bases: list[list[int]] = [[] for _ in range(top + 1)]
+    position: list[int] = []
+    for k, q in enumerate(dims):
+        position.append(len(bases[q]))
+        bases[q].append(k)
+    maps: list[Mat] = []
+    for q in range(top):
+        below = set(bases[q])
+        for k in bases[q + 1]:
+            if not below.issuperset(rows[k]):
+                i, c = classes.classes[k][0]
+                raise PreconditionError(f"global cochains: a face of {names[i]}:{c} is not of dimension {q}")
+        mat_rows = [{position[face]: sign for face, sign in rows[k].items()} for k in bases[q + 1]]
+        maps.append(Mat(len(bases[q + 1]), len(bases[q]), mat_rows))
+    return FreeComplex(bases, maps)
+
+
+def global_complex_betti(system: AdjunctionSystem) -> list[int]:
+    """Betti numbers of the complex of global cochains (the fibre product),
+    one per degree up to the largest piece dimension, from the class complex
+    of :func:`_class_complex`."""
+    return betti(_class_complex(system, closure_cell_classes(system)))
+
+
+def _restrictions_defined(system: AdjunctionSystem, entries: list[NerveTuple]) -> bool:
+    """Whether the closure extension i1 -> i2 of each nerve tuple of three
+    or more pieces sends its closed domain into that of the tuple without
+    i1, as the Cech restriction of the bicomplex needs; the restrictions
+    that keep i1 stay in one piece and are defined whenever the closures
+    nest, which they do."""
+    closed = {entry.tup: entry.closed.members for entry in entries}
+    for entry in entries:
+        tup = entry.tup
+        if len(tup) > 2 and closed[tup]:
+            gm = system.maps.get(tup[:2])
+            target = closed.get(tup[1:], frozenset())
+            if gm is None or not target.issuperset(map(gm.closure_forward.get, closed[tup])):
+                return False
+    return True
+
+
+def _de_rham_betti(system: AdjunctionSystem, entries: list[NerveTuple]) -> list[int]:
+    """Total Betti numbers of the CLOSED flavor; ``entries`` is the nerve.
+
+    Where the closure-intersection property holds over ``entries``, the
+    Cech rows are exact, so the total cohomology is that of the global
+    cochains (the generalized Mayer-Vietoris principle, Bott-Tu Prop. 8.8),
+    and the small class complex is ranked.  That needs the restrictions of
+    the bicomplex to be defined, each class to hold at most one cell of each
+    piece, and d to map the global cochains into themselves; a valid system
+    meets all three.  Where the property or a guard fails, the bicomplex is
+    built and ranked, and raises where it did before.  The two lists agree
+    up to trailing zeros.
+    """
+    fc = None
+    if all(entry.closure_ok for entry in entries) and _restrictions_defined(system, entries):
+        try:
+            classes = closure_cell_classes(system)
+            # members come in piece order, so a repeated piece is a repeat of its predecessor
+            if all(key[m][0] != key[m - 1][0] for key in classes.classes for m in range(1, len(key))):
+                fc = _class_complex(system, classes)
+        except PreconditionError:
+            pass  # the bicomplex decides
+    if fc is not None:
+        return betti(fc)
+    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
+    return total_betti(bicx)
+
+
+def de_rham_betti(system: AdjunctionSystem) -> list[int]:
+    """Total Betti numbers of the CLOSED flavor, which is defined only where
+    the closure-intersection property holds: raises PreconditionError naming
+    the first nerve tuple where it fails, as ``build_bicomplex`` does."""
+    entries = nerve(system)
+    _require_closure_intersection(entries)
+    return _de_rham_betti(system, entries)
 
 
 # -- row exactness ------------------------------------------------------------
@@ -491,9 +651,10 @@ def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
     """Rank bookkeeping for each row 0 -> global -> column 0 -> ... -> 0 of
     the CLOSED flavor.  When the closure-intersection precondition fails the
     result is still reported, just not asserted as a theorem."""
-    checks = closure_intersection_check(system)
+    entries = nerve(system)
+    checks = {entry.tup: entry.closure_ok for entry in entries}
     precondition_ok = all(checks.values())
-    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False)
+    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
     columns = bicx.columns()
     global_dims: dict[int, int] = {}
     nodes: dict[int, list[RowNode]] = {}
@@ -598,13 +759,20 @@ def mv_report(
 # -- Euler characteristic and the comparison ----------------------------------
 
 
-def euler_inclusion_exclusion(system: AdjunctionSystem, cores: CoreAssignment | None = None) -> int:
+def euler_inclusion_exclusion(
+    system: AdjunctionSystem,
+    cores: CoreAssignment | None = None,
+    *,
+    entries: list[NerveTuple] | None = None,
+) -> int:
     """sum_p (-1)^{p+1} sum_{i1<...<ip} chi(intersection domain), with the
-    homotopy type of each open intersection supplied by its core."""
+    homotopy type of each open intersection supplied by its core.
+    ``entries``, for a caller that has walked the nerve already, must be
+    ``nerve(system)``."""
     total = 0
     for i in range(system.n()):
         total += euler_characteristic(system.pieces[i].whole_set())
-    resolved = resolve_cores(system, cores)
+    resolved = _resolve_cores(system, cores, nerve(system) if entries is None else entries)
     for tup, core in resolved.items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
@@ -628,10 +796,8 @@ def de_rham_compare(system: AdjunctionSystem, cores: CoreAssignment | None = Non
     preconditions: the flavors are computed either way.  The nerve is walked
     once and serves both flavors and the closure-intersection verdict."""
     entries = nerve(system)
-    dr = total_betti(
-        build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, _entries=entries)
-    )
-    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, _entries=entries))
+    dr = _de_rham_betti(system, entries)
+    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, entries=entries))
     width = max(len(dr), len(sing))
     dr += [0] * (width - len(dr))
     sing += [0] * (width - len(sing))

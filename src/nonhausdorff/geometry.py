@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .adjunction import AdjunctionSystem, nerve
+from .adjunction import AdjunctionSystem, NerveTuple, nerve
 from .cells import CellComplex, CellSet, CoreAssignment, MetricComplex, first_unclosed_cell, star
 from .errors import InvariantError, PreconditionError, ValidationReport
 
@@ -180,13 +180,19 @@ class CurvatureLedger:
         self.tuple_turning_totals = tuple_turning_totals
 
 
-def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex]) -> CurvatureLedger:
+def curvature_ledger(
+    system: AdjunctionSystem,
+    metrics: Sequence[MetricComplex],
+    *,
+    entries: list[NerveTuple] | None = None,
+) -> CurvatureLedger:
     """Defect 2*pi - (angle sum) at every vertex of every piece (doubled
     frontier vertices count once per copy, inside their own piece) and
     turning angle pi - (angle sum inside) at every boundary vertex of every
     closed intersection domain.  The tuple keys are those of :func:`nerve`,
     in its order; a visited tuple with an empty intersection has zero totals,
-    and every tuple left out has an empty domain."""
+    and every tuple left out has an empty domain.  ``entries``, for a caller
+    that has walked the nerve already, must be ``nerve(system)``."""
     validate_metric(system, metrics).require("curvature_ledger")
     _require_closed_surfaces(system)
     angles = _piece_angles(metrics)
@@ -200,7 +206,7 @@ def curvature_ledger(system: AdjunctionSystem, metrics: Sequence[MetricComplex])
     tuple_interior_totals: dict[tuple[int, ...], float] = {}
     turning_angles: dict[tuple[int, ...], dict[str, float]] = {}
     tuple_turning_totals: dict[tuple[int, ...], float] = {}
-    for entry in nerve(system):
+    for entry in nerve(system) if entries is None else entries:
         tup, ref, domain = entry.tup, entry.tup[0], entry.closed
         inside = _interior_vertices(system.pieces[ref], domain)
         tuple_interior_totals[tup] = sum((piece_defects[ref][v] for v in sorted(inside)), 0.0)
@@ -269,8 +275,9 @@ def gauss_bonnet_report(
     turning-angle counterterms.  The contract is |lhs - rhs| <= 1e-9."""
     from .cohomology import euler_inclusion_exclusion
 
-    ledger = curvature_ledger(system, metrics)
-    chi = euler_inclusion_exclusion(system, cores)
+    entries = nerve(system)
+    ledger = curvature_ledger(system, metrics, entries=entries)
+    chi = euler_inclusion_exclusion(system, cores, entries=entries)
     lhs = 2.0 * math.pi * chi
 
     curvature = sum(ledger.piece_totals)

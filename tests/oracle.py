@@ -512,9 +512,14 @@ def apply(mat: Mat, v: Vec) -> Vec:
 
 def global_complex_betti(system: AdjunctionSystem) -> list[int]:
     """Betti numbers of the kernel of delta at column 0 of the pairs-only
-    CLOSED bicomplex: a basis of each kernel, and d written in those bases by
-    solving for the coordinates of each image."""
-    bicx = library_bicomplex(system, Flavor.CLOSED_INTERSECTION, max_tuple=2, check_preconditions=False)
+    CLOSED bicomplex, assembled by the reference assembly: a basis of each
+    kernel, and d written in those bases by solving for the coordinates of
+    each image."""
+    n = system.n()
+    pairs = list(itertools.combinations(range(n), 2))
+    domains = {(i,): system.pieces[i].whole_set() for i in range(n)}
+    domains.update((pair, closed_intersection(system, pair)) for pair in pairs)
+    bicx = assemble(system, Flavor.CLOSED_INTERSECTION, [[(i,) for i in range(n)], pairs], domains)
     max_q = bicx.max_q
     kernels: list[list[Vec]] = []
     for q in range(max_q + 1):

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from nonhausdorff import cohomology, refine
+from nonhausdorff import adjunction, cli, cohomology, geometry, refine
 from nonhausdorff.adjunction import AdjunctionSystem, quotient_complex
 from nonhausdorff.cohomology import (
     Flavor,
@@ -30,7 +31,7 @@ from nonhausdorff.fixtures import (
 from nonhausdorff.cells import CellComplex
 from nonhausdorff.linalg import Mat
 
-from conftest import CORE_FIXTURES, GOOD_FIXTURES, random_clopen_system, torus_pair
+from conftest import CORE_FIXTURES, FIXTURES_DIR, GOOD_FIXTURES, random_clopen_system, torus_pair
 from oracle import apply
 
 
@@ -430,16 +431,46 @@ def test_d_squared_is_checked_before_any_rank(monkeypatch, ranks_of):
     assert calls == []
 
 
-def test_compare_walks_the_nerve_once(monkeypatch, built):
+@pytest.fixture
+def nerve_walks(monkeypatch):
+    """The systems passed to ``nerve``, rebound in every module that binds it."""
     walks = []
-    walk = cohomology.nerve
+    walk = adjunction.nerve
 
-    def counted(system, max_tuple=None):
-        walks.append(max_tuple)
-        return walk(system, max_tuple)
+    def counted(system):
+        walks.append(system)
+        return walk(system)
 
-    monkeypatch.setattr(cohomology, "nerve", counted)
+    for module in (adjunction, cohomology, geometry, cli):
+        monkeypatch.setattr(module, "nerve", counted)
+    return walks
+
+
+def test_compare_walks_the_nerve_once(nerve_walks, built):
     for name in ["glued_tori", "line_three_origins", "closure_violation"]:
-        walks.clear()
+        nerve_walks.clear()
         de_rham_compare(built[name].system, built[name].cores)
-        assert walks == [None], name
+        assert nerve_walks == [built[name].system], name
+
+
+@pytest.mark.parametrize("name", ["glued_tori", "line_three_origins", "glued_icosahedra"])
+def test_euler_walks_the_nerve_once(nerve_walks, capsys, name):
+    assert cli.main(["--json", "euler", str(FIXTURES_DIR / f"{name}.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["match"]
+    assert len(nerve_walks) == 1
+
+
+@pytest.mark.parametrize("name", ["glued_tori", "glued_icosahedra"])
+def test_gauss_bonnet_walks_the_nerve_once(nerve_walks, built, name):
+    fx = built[name]
+    report = geometry.gauss_bonnet_report(fx.system, fx.metrics, fx.cores)
+    assert abs(report.residual) <= 1e-9
+    assert nerve_walks == [fx.system]
+
+
+@pytest.mark.parametrize("name", ["glued_tori", "line_three_origins", "closure_violation"])
+def test_row_exactness_walks_the_nerve_once(nerve_walks, built, name):
+    system = built[name].system
+    report = row_exactness_check(system)
+    assert report.closure_checks == {entry.tup: entry.closure_ok for entry in adjunction.nerve(system)}
+    assert nerve_walks == [system, system]  # the check's walk, then the one just above

@@ -128,13 +128,6 @@ def test_dense_line_nerve_has_every_tuple():
     assert all(entry.domain.members for entry in entries)
 
 
-def test_max_tuple_caps_the_arity():
-    system = k_origin_line(5).system
-    assert {len(entry.tup) for entry in nerve(system, 2)} == {2}
-    assert len(nerve(system, 3)) == 10 + 10
-    assert nerve(system, 1) == []
-
-
 def test_closure_violation_triple_is_visited_with_an_empty_intersection():
     (triple,) = [entry for entry in nerve(closure_violation().system) if entry.tup == (0, 1, 2)]
     assert not triple.domain.members and triple.closure_meet == {"v0"}

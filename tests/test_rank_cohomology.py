@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from nonhausdorff.adjunction import nerve
 from nonhausdorff.cohomology import (
     Bicomplex,
     Flavor,
@@ -98,8 +99,8 @@ def stored(mat):
 
 def assembled(assemble, total_complex, matmul, system, flavor, cores):
     """Every block, total differential and d-delta product, as stored rows."""
-    domains = _flavor_domains(system, flavor, cores, None, check_preconditions=False)
-    bicx = assemble(system, flavor, _column_tuples(system, domains, None), domains)
+    domains = _flavor_domains(system, flavor, cores, False, nerve(system))
+    bicx = assemble(system, flavor, _column_tuples(system, domains), domains)
     mats = [*bicx.vertical.values(), *bicx.horizontal.values()]
     total = total_complex(bicx)
     mats += total.maps
