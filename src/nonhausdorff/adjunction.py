@@ -196,9 +196,6 @@ class AdjunctionSystem:
     def ordered_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.regions)
 
-    def oriented(self) -> bool:
-        return self.orientations is not None
-
 
 def open_intersection(system: AdjunctionSystem, tup: Sequence[int]) -> CellSet:
     """The p-fold intersection domain, transported into the smallest-index piece."""

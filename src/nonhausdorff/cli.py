@@ -2,10 +2,15 @@
 
 Commands read a system document (JSON), run the requested computation and
 print a human table or, with --json, a machine report.  Exit codes: 0 ok,
-1 validation failure, 2 precondition failure, 3 I/O or parse error.  Every
-command but ``validate`` first requires a valid system; the commands are
-dispatched from the COMMANDS table.  Each command imports the modules it
-runs when it runs, so a cold start loads only those.
+1 validation failure, 2 precondition failure, 3 I/O or parse error.
+
+There is one path through :func:`main`: :func:`_read` turns every document,
+the system and the cochain alike, into JSON or a ``SchemaError`` naming its
+path; every command but ``validate`` then requires a valid system; the
+handler from the COMMANDS table returns ``(status, payload, human)``; and
+:func:`_emit` writes the report.  A library error becomes a failure report
+through the FAILURES table.  Each command imports the modules it runs when
+it runs, so a cold start loads only those.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from .adjunction import (
     glued_cell_classes,
@@ -27,9 +32,6 @@ from .adjunction import (
 from .errors import IncompatibleCochainError, PreconditionError, SchemaError, ValidationReport
 from .schema import LoadedSystem, parse_cochain_document, parse_document
 
-if TYPE_CHECKING:
-    from .cochains import GlobalCochain
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PRECONDITION = 2
@@ -38,44 +40,50 @@ EXIT_IO = 3
 # --flavor value -> name of the cohomology.Flavor member
 FLAVORS = {"dr": "CLOSED_INTERSECTION", "sing": "OPEN_CORE"}
 
+# library error, subclasses such as InvariantError included -> (report status, exit code)
+FAILURES: dict[type[Exception], tuple[str, int]] = {
+    SchemaError: ("parse_error", EXIT_IO),
+    IncompatibleCochainError: ("validation_failed", EXIT_VALIDATION),
+    PreconditionError: ("precondition_failed", EXIT_PRECONDITION),
+}
 
-def _load(path: str) -> LoadedSystem:
+# what a handler returns: (report status, payload, human text)
+Result = tuple[str, Any, str]
+
+
+def _read(path: str) -> Any:
+    """The JSON value in the file at ``path``.  A file that cannot be read,
+    is not UTF-8, is not JSON, nests too deep or holds an over-long number
+    raises ``SchemaError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_document(doc)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _load_cochain(loaded: LoadedSystem, path: str) -> GlobalCochain:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return parse_cochain_document(doc, loaded.system, loaded.system.names)
-
-
-def _report(command: str, status: str, payload: Any, diagnostics: list[str]) -> dict:
-    return {
-        "command": command,
-        "schema_version": "1",
-        "status": status,
-        "payload": payload,
-        "diagnostics": diagnostics,
-    }
-
-
-class _Output:
-    def __init__(self, as_json: bool, quiet: bool):
-        self.as_json = as_json
-        self.quiet = quiet
-
-    def emit(self, report: dict, human: str) -> None:
-        if self.as_json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        elif not self.quiet:
-            print(human)
+def _emit(args: argparse.Namespace, status: str, payload: Any, text: str) -> None:
+    """Print the JSON report (--json), else the human table (unless --quiet).
+    A failure has no payload: ``text`` is its message, which goes to the
+    report's diagnostics or to a line on stderr."""
+    failed = payload is None
+    if args.json:
+        report = {
+            "command": args.command,
+            "schema_version": "1",
+            "status": status,
+            "payload": payload,
+            "diagnostics": [text] if failed else [],
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif failed:
+        print(f"{args.command}: {status}: {text}", file=sys.stderr)
+    elif not args.quiet:
+        print(text)
 
 
 def _tuple_label(loaded: LoadedSystem, tup: tuple[int, ...]) -> str:
@@ -93,7 +101,7 @@ def _issues(report: ValidationReport) -> list[dict[str, str]]:
     return [{"rule": i.rule, "location": i.location, "message": i.message} for i in report.issues]
 
 
-def cmd_validate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_validate(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     report = validate_system(loaded.system)
     payload: dict[str, Any] = {"valid": report.ok, "issues": _issues(report)}
     lines = ["validate: " + ("OK" if report.ok else "INVALID")]
@@ -118,22 +126,19 @@ def cmd_validate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -
             lines.append(f"  metric: {'OK' if metric_report.ok else 'INVALID'}")
             failed = not metric_report.ok
             lines.extend("  " + i.render() for i in metric_report.issues)
-    status = "validation_failed" if failed else "ok"
-    out.emit(_report("validate", status, payload, []), "\n".join(lines))
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return ("validation_failed" if failed else "ok"), payload, "\n".join(lines)
 
 
-def _require_valid(loaded: LoadedSystem, command: str, out: _Output) -> bool:
+def _invalid_system(loaded: LoadedSystem, command: str) -> Result | None:
+    """The failure report of a command run on an invalid system, or None."""
     report = validate_system(loaded.system)
     if report.ok:
-        return True
-    payload = {"valid": False, "issues": _issues(report)}
+        return None
     human = f"{command}: system is invalid\n" + "\n".join("  " + i.render() for i in report.issues)
-    out.emit(_report(command, "validation_failed", payload, []), human)
-    return False
+    return "validation_failed", {"valid": False, "issues": _issues(report)}, human
 
 
-def cmd_hausdorff(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_hausdorff(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     pairs = hausdorff_pairs(loaded.system)
     classes = glued_cell_classes(loaded.system)
     sizes: dict[int, int] = {}
@@ -157,11 +162,10 @@ def cmd_hausdorff(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) 
             f"{loaded.system.names[p.right[0]]}:{p.right[1]}"
         )
     lines.append(f"glued cell classes: {len(classes)} (sizes {payload['class_size_histogram']})")
-    out.emit(_report("hausdorff", "ok", payload, []), "\n".join(lines))
-    return EXIT_OK
+    return "ok", payload, "\n".join(lines)
 
 
-def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cohomology
 
     flavor_key = args.flavor
@@ -175,11 +179,10 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
     top = max(piece.top_dimension for piece in system.pieces)
     display += [0] * (top + 1 - len(display))
     payload = {"flavor": flavor_key, "betti": display}
-    out.emit(_report("betti", "ok", payload, []), f"betti[{flavor_key}] = {display}")
-    return EXIT_OK
+    return "ok", payload, f"betti[{flavor_key}] = {display}"
 
 
-def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cohomology
 
     system, cores = loaded.system, loaded.cores
@@ -199,34 +202,33 @@ def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> i
         f"chi (alternating Betti sum, open flavor) = {alternating}\n"
         f"match: {payload['match']}"
     )
-    out.emit(_report("euler", "ok", payload, []), human)
-    return EXIT_OK
+    return "ok", payload, human
 
 
-def cmd_integrate(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_integrate(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cochains
 
-    value = cochains.integrate(_load_cochain(loaded, args.cochain))
+    w = parse_cochain_document(_read(args.cochain), loaded.system, loaded.system.names)
+    value = cochains.integrate(w)
     payload = {"integral": str(value)}
-    out.emit(_report("integrate", "ok", payload, []), f"integral = {value}")
-    return EXIT_OK
+    return "ok", payload, f"integral = {value}"
 
 
-def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cochains
 
-    lhs, rhs = cochains.stokes_defect(_load_cochain(loaded, args.cochain))
+    w = parse_cochain_document(_read(args.cochain), loaded.system, loaded.system.names)
+    lhs, rhs = cochains.stokes_defect(w)
     payload = {"integral_of_dw": str(lhs), "minus_frontier_integral": str(rhs), "equal": lhs == rhs}
     human = (
         f"integral of dw over the glued space = {lhs}\n"
         f"- (oriented frontier sum of w)      = {rhs}\n"
         f"equal: {lhs == rhs}"
     )
-    out.emit(_report("stokes-check", "ok", payload, []), human)
-    return EXIT_OK
+    return "ok", payload, human
 
 
-def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cohomology
 
     flavor_key = args.flavor
@@ -259,11 +261,10 @@ def cmd_mv_report(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) 
             f"{row.derived_h_total:7d}"
         )
     lines.append(f"  alternating dimension sum = {report.alternating_sum}")
-    out.emit(_report("mv-report", "ok", payload, []), "\n".join(lines))
-    return EXIT_OK
+    return "ok", payload, "\n".join(lines)
 
 
-def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cohomology
 
     report = cohomology.de_rham_compare(loaded.system, loaded.cores)
@@ -294,11 +295,10 @@ def cmd_compare(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) ->
         f"closure-intersection property: {report.closure_intersection_ok}\n"
         f"comparison hypotheses hold: {report.hypotheses_hold}"
     )
-    out.emit(_report("compare", "ok", payload, []), human)
-    return EXIT_OK
+    return "ok", payload, human
 
 
-def cmd_gauss_bonnet(loaded: LoadedSystem, args: argparse.Namespace, out: _Output) -> int:
+def cmd_gauss_bonnet(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     if loaded.metrics is None:
         raise PreconditionError("gauss-bonnet: document carries no edge lengths")
     from . import geometry
@@ -335,14 +335,13 @@ def cmd_gauss_bonnet(loaded: LoadedSystem, args: argparse.Namespace, out: _Outpu
         f" = {report.rhs:.12f}"
     )
     lines.append(f"  residual = {report.residual:.3e}")
-    out.emit(_report("gauss-bonnet", "ok", payload, []), "\n".join(lines))
-    return EXIT_OK
+    return "ok", payload, "\n".join(lines)
 
 
 # -- entry point ----------------------------------------------------------------
 
 
-Handler = Callable[[LoadedSystem, argparse.Namespace, _Output], int]
+Handler = Callable[[LoadedSystem, argparse.Namespace], Result]
 
 # name -> (handler, takes --flavor, takes a cochain document)
 COMMANDS: dict[str, tuple[Handler, bool, bool]] = {
@@ -379,36 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(args.json, args.quiet)
     try:
-        loaded = _load(args.path)
-        if args.command != "validate" and not _require_valid(loaded, args.command, out):
-            return EXIT_VALIDATION
-        handler = COMMANDS[args.command][0]
-        return handler(loaded, args, out)
-    except SchemaError as exc:
-        _fail(out, args.command, "parse_error", str(exc))
-        return EXIT_IO
-    except OSError as exc:
-        _fail(out, args.command, "io_error", str(exc))
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        _fail(out, args.command, "parse_error", f"line {exc.lineno} column {exc.colno}: {exc.msg}")
-        return EXIT_IO
-    except IncompatibleCochainError as exc:
-        _fail(out, args.command, "validation_failed", str(exc))
-        return EXIT_VALIDATION
-    except PreconditionError as exc:
-        _fail(out, args.command, "precondition_failed", str(exc))
-        return EXIT_PRECONDITION
-
-
-def _fail(out: _Output, command: str, status: str, message: str) -> None:
-    report = _report(command, status, None, [message])
-    if out.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"{command}: {status}: {message}", file=sys.stderr)
+        loaded = parse_document(_read(args.path))
+        gate = None if args.command == "validate" else _invalid_system(loaded, args.command)
+        status, payload, human = gate or COMMANDS[args.command][0](loaded, args)
+    except tuple(FAILURES) as exc:
+        status, code = next(row for kind, row in FAILURES.items() if isinstance(exc, kind))
+        _emit(args, status, None, str(exc))
+        return code
+    _emit(args, status, payload, human)
+    return EXIT_OK if status == "ok" else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -25,9 +25,12 @@ from .errors import InvariantError, PreconditionError, ValidationReport
 
 ANGLE_TOLERANCE = 1e-9
 
+# vertex -> (adjacent edge, adjacent edge, opposite edge) for one triangle
+Corners = dict[str, tuple[str, str, str]]
 
-def _triangle_corners(mc: MetricComplex, triangle: str) -> dict[str, tuple[str, str, str]]:
-    """vertex -> (adjacent edge, adjacent edge, opposite edge) for a triangle."""
+
+def _triangle_corners(mc: MetricComplex, triangle: str) -> Corners:
+    """The corner table of one triangle; PreconditionError if the cell is not one."""
     base = mc.base
     edges = sorted(base.faces_of(triangle))
     if len(edges) != 3:
@@ -41,16 +44,14 @@ def _triangle_corners(mc: MetricComplex, triangle: str) -> dict[str, tuple[str, 
             vertex_edges.setdefault(v, []).append(edge)
     if len(vertex_edges) != 3 or any(len(es) != 2 for es in vertex_edges.values()):
         raise PreconditionError(f"cell {triangle!r} is not a triangle")
-    out: dict[str, tuple[str, str, str]] = {}
+    out: Corners = {}
     for v, (e1, e2) in vertex_edges.items():
         (opposite,) = [e for e in edges if e not in (e1, e2)]
         out[v] = (e1, e2, opposite)
     return out
 
 
-def corner_angles(mc: MetricComplex, triangle: str) -> dict[str, float]:
-    """Law-of-cosines corner angles of one flat triangle, keyed by vertex."""
-    corners = _triangle_corners(mc, triangle)
+def _angles(mc: MetricComplex, triangle: str, corners: Corners) -> dict[str, float]:
     out: dict[str, float] = {}
     for v, (e1, e2, opposite) in corners.items():
         b, c, a = mc.length(e1), mc.length(e2), mc.length(opposite)
@@ -62,16 +63,30 @@ def corner_angles(mc: MetricComplex, triangle: str) -> dict[str, float]:
     return out
 
 
+def corner_angles(mc: MetricComplex, triangle: str) -> dict[str, float]:
+    """Law-of-cosines corner angles of one flat triangle, keyed by vertex."""
+    return _angles(mc, triangle, _triangle_corners(mc, triangle))
+
+
 def validate_metric(
     system: AdjunctionSystem, metrics: Sequence[MetricComplex] | None
 ) -> ValidationReport:
     """Triangle inequalities per triangle and exact length equality on glued
     edges, closures included (the isometry condition).  No metrics at all
     (None) is reported like a wrong metric count."""
+    return _checked_metric(system, metrics)[0]
+
+
+def _checked_metric(
+    system: AdjunctionSystem, metrics: Sequence[MetricComplex] | None
+) -> tuple[ValidationReport, list[dict[str, Corners]]]:
+    """:func:`validate_metric`'s report, and per piece the corner table of
+    each of its cells that is a triangle; each triangle is examined once."""
     report = ValidationReport()
+    corner_tables: list[dict[str, Corners]] = []
     if metrics is None or len(metrics) != system.n():
         report.add("metric-count", "system", "need one metric per piece")
-        return report
+        return report, corner_tables
     for idx, mc in enumerate(metrics):
         name = system.names[idx]
         if mc.base is not system.pieces[idx]:
@@ -82,9 +97,11 @@ def validate_metric(
                 report.add("edge-length-missing", f"{name}/{edge}", "no length")
             elif not length > 0:
                 report.add("edge-length-positive", f"{name}/{edge}", f"length {length} <= 0")
+        table: dict[str, Corners] = {}
+        corner_tables.append(table)
         for tri in mc.base.cells_of_dim(2):
             try:
-                _triangle_corners(mc, tri)
+                table[tri] = _triangle_corners(mc, tri)
             except PreconditionError as exc:
                 report.add("triangulation", f"{name}/{tri}", str(exc))
                 continue
@@ -112,7 +129,7 @@ def validate_metric(
                     f"map({system.names[i]},{system.names[j]}):{cell}",
                     f"glued edge lengths differ: {left} vs {right}",
                 )
-    return report
+    return report, corner_tables
 
 
 def _require_closed_surfaces(system: AdjunctionSystem) -> None:
@@ -122,11 +139,6 @@ def _require_closed_surfaces(system: AdjunctionSystem) -> None:
         edge = first_unclosed_cell(piece, 2)
         if edge is not None:
             raise PreconditionError(f"piece {system.names[idx]} is not a closed surface at edge {edge!r}")
-
-
-def _piece_angles(metrics: Sequence[MetricComplex]) -> list[dict[str, dict[str, float]]]:
-    """triangle -> corner angles, per piece; each triangle is measured once."""
-    return [{tri: corner_angles(mc, tri) for tri in mc.base.cells_of_dim(2)} for mc in metrics]
 
 
 def _piece_angle_sums(
@@ -193,9 +205,14 @@ def curvature_ledger(
     in its order; a visited tuple with an empty intersection has zero totals,
     and every tuple left out has an empty domain.  ``entries``, for a caller
     that has walked the nerve already, must be ``nerve(system)``."""
-    validate_metric(system, metrics).require("curvature_ledger")
+    report, corner_tables = _checked_metric(system, metrics)
+    report.require("curvature_ledger")
     _require_closed_surfaces(system)
-    angles = _piece_angles(metrics)
+    # triangle -> corner angles, per piece, from the corner tables of the check
+    angles = [
+        {tri: _angles(mc, tri, corners) for tri, corners in table.items()}
+        for mc, table in zip(metrics, corner_tables)
+    ]
     angle_sums = _piece_angle_sums(metrics, angles)
 
     piece_defects: list[dict[str, float]] = []

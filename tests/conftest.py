@@ -1,8 +1,8 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
 non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs,
-hexagons glued on open arcs, a chain of icosahedra), and one-node mutations of JSON documents for
-the loading and CLI fuzz tests."""
+hexagons glued on open arcs, a chain of icosahedra), and one-node mutations of JSON documents and
+byte-level unreadable ones for the loading and CLI fuzz tests."""
 
 from __future__ import annotations
 
@@ -390,6 +390,19 @@ def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) 
             comp[cell] = str(values[root])
         components[system.names[i]] = comp
     return {"schema_version": "1", "degree": degree, "components": components}
+
+
+# -- documents that are not JSON at all ----------------------------------------------
+
+# Byte-level failures of the reader, for either document slot: each must exit 3
+# with a parse error naming the file.  The integer exceeds the interpreter's
+# default limit of 4300 digits for int(str); the nesting exceeds the recursion
+# limit of the JSON decoder.
+BAD_BYTES = {
+    "not-utf8": b'{"schema_version": "1\xff"}',
+    "long-integer": b'{"schema_version": ' + b"7" * 5000 + b"}",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
 
 
 # -- one-node document mutations --------------------------------------------------

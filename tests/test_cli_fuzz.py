@@ -3,7 +3,9 @@
 Shipped fixtures and their cochain documents get one JSON node replaced,
 renamed or deleted; every command runs on each mutant in-process with
 ``--json``.  Each run must return an exit code 0-3 with the matching report
-status, never an uncaught exception.
+status, never an uncaught exception.  Files that are not JSON at all (bad
+bytes, over-long numbers, over-deep nesting) take the place of the system
+document and of the cochain document in every command that reads them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from nonhausdorff import cli
 from nonhausdorff.schema import parse_document
 
-from conftest import FIXTURES_DIR, DocumentMutator, cochain_document
+from conftest import BAD_BYTES, FIXTURES_DIR, DocumentMutator, cochain_document
 
 MUTANTS = 250
 STATUS = {
@@ -81,3 +83,22 @@ def test_mutated_documents_exit_with_a_named_cause(tmp_path):
             codes[code] = codes.get(code, 0) + 1
     # every exit code is reached
     assert set(codes) == set(STATUS), codes
+
+    shipped = str(FIXTURES_DIR / "glued_circles.json")
+    for name, payload in sorted(BAD_BYTES.items()):
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(payload)
+        for argv in (
+            ["validate", str(bad)],
+            ["hausdorff", str(bad)],
+            ["betti", "--flavor", "dr", str(bad)],
+            ["euler", str(bad)],
+            ["integrate", str(bad), str(bad)],
+            ["integrate", shipped, str(bad)],
+            ["stokes-check", str(bad), str(bad)],
+            ["stokes-check", shipped, str(bad)],
+            ["mv-report", "--flavor", "sing", str(bad)],
+            ["compare", str(bad)],
+            ["gauss-bonnet", str(bad)],
+        ):
+            assert run(argv) == 3, argv

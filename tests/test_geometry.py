@@ -205,7 +205,8 @@ def test_euler_inclusion_exclusion_matches_gauss_bonnet_chi():
 
 def test_gauss_bonnet_measures_each_triangle_once(monkeypatch):
     # torus_pair(12): two 12x13 grid tori, 312 triangles each; the glued
-    # annulus's triangles are not measured again
+    # annulus's triangles are not measured again, and the corner table that
+    # the metric check builds for each triangle is the one the angles read
     import nonhausdorff.geometry as geometry
     from conftest import torus_pair
 
@@ -214,16 +215,18 @@ def test_gauss_bonnet_measures_each_triangle_once(monkeypatch):
     for edge in fx.system.pieces[0].cells_of_dim(1):
         lengths[edge] = math.sqrt(2.0) if edge.startswith("d") else 1.0
     metrics = [MetricComplex(piece, dict(lengths)) for piece in fx.system.pieces]
-    calls = []
-    real = geometry.corner_angles
+    calls: dict[str, list[str]] = {"_triangle_corners": [], "_angles": []}
+    for name, seen in calls.items():
+        real = getattr(geometry, name)
 
-    def counting(mc, triangle):
-        calls.append(triangle)
-        return real(mc, triangle)
+        def counting(mc, triangle, *rest, real=real, seen=seen):
+            seen.append(triangle)
+            return real(mc, triangle, *rest)
 
-    monkeypatch.setattr(geometry, "corner_angles", counting)
+        monkeypatch.setattr(geometry, name, counting)
     report = gauss_bonnet_report(fx.system, metrics, fx.cores)
-    assert len(calls) == 624 == sum(len(p.cells_of_dim(2)) for p in fx.system.pieces)
+    triangles = sum(len(p.cells_of_dim(2)) for p in fx.system.pieces)
+    assert len(calls["_triangle_corners"]) == len(calls["_angles"]) == 624 == triangles
     assert report.chi == 0
     assert abs(report.residual) < TOL
 

@@ -21,7 +21,7 @@ from nonhausdorff.schema import (
     serialize_system,
 )
 
-from conftest import FIXTURES_DIR
+from conftest import BAD_BYTES, FIXTURES_DIR
 
 
 def canonical(doc) -> str:
@@ -308,6 +308,42 @@ def test_cli_malformed_json_exits_3(capsys, tmp_path):
     bad.write_text("{not json")
     code, _ = run_cli(capsys, "validate", str(bad))
     assert code == 3
+
+
+def cli_slot(slot: str, path: str) -> list[str]:
+    """A command that reads ``path`` as its system or as its cochain document."""
+    if slot == "system":
+        return ["validate", path]
+    return ["integrate", str(FIXTURES_DIR / "glued_circles.json"), path]
+
+
+@pytest.mark.parametrize("slot", ["system", "cochain"])
+@pytest.mark.parametrize("payload", sorted(BAD_BYTES))
+def test_cli_unreadable_bytes_exit_3_naming_the_file(capsys, tmp_path, payload, slot):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_BYTES[payload])
+    code, out = run_cli(capsys, "--json", *cli_slot(slot, str(bad)))
+    assert code == 3
+    report = json.loads(out)
+    assert report["status"] == "parse_error"
+    assert report["diagnostics"][0].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("slot", ["system", "cochain"])
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
+def test_cli_reports_both_documents_alike(capsys, tmp_path, text, slot):
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+    argv = cli_slot(slot, str(bad))
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    if text is None:
+        assert err.startswith(f"{argv[0]}: parse_error: cannot read {bad}: [Errno 2]")
+    else:
+        message = "line 1 column 2: Expecting property name enclosed in double quotes"
+        assert err == f"{argv[0]}: parse_error: {bad}: {message}\n"
 
 
 def test_cli_euler_and_hausdorff(capsys):
