@@ -157,9 +157,6 @@ class AdjunctionSystem:
                 region_sets[(j, i)] = target
             forward = dict(pairs)
             closure_forward = dict(closure_pairs) if closure_pairs is not None else dict(pairs)
-            if closure_pairs is None:
-                for k, v in pairs.items():
-                    closure_forward.setdefault(k, v)
             gluing[(i, j)] = GluingMap(i, j, source, target, forward, closure_forward)
         for (i, j) in sorted(gluing):
             if (j, i) not in gluing:
@@ -182,16 +179,6 @@ class AdjunctionSystem:
 
     def gluing(self, i: int, j: int) -> GluingMap | None:
         return self.maps.get((i, j))
-
-    def cell_map(self, i: int, j: int, cell: str) -> str:
-        if i == j:
-            return cell
-        return self.maps[(i, j)].forward[cell]
-
-    def closure_cell_map(self, i: int, j: int, cell: str) -> str:
-        if i == j:
-            return cell
-        return self.maps[(i, j)].closure_forward[cell]
 
     def ordered_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.regions)

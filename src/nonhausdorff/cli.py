@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Callable
 
@@ -382,12 +383,21 @@ def main(argv: list[str] | None = None) -> int:
         loaded = parse_document(_read(args.path))
         gate = None if args.command == "validate" else _invalid_system(loaded, args.command)
         status, payload, human = gate or COMMANDS[args.command][0](loaded, args)
+        code = EXIT_OK if status == "ok" else EXIT_VALIDATION
     except tuple(FAILURES) as exc:
         status, code = next(row for kind, row in FAILURES.items() if isinstance(exc, kind))
-        _emit(args, status, None, str(exc))
-        return code
-    _emit(args, status, payload, human)
-    return EXIT_OK if status == "ok" else EXIT_VALIDATION
+        payload, human = None, str(exc)
+    try:
+        _emit(args, status, payload, human)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is left to the null device, so that
+        # the flush at exit cannot fail again, and report an I/O error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -22,13 +22,18 @@ whose columns and rows they read.
 
 All of it shares one exact-rank engine, :meth:`linalg.Mat.rank` (reached
 through the clearing of :func:`linalg.complex_ranks` for a complex whose
-d∘d = 0 has been checked), and one Cech differential with the
-alternating-sign restriction convention whose binary block is
-(restriction) - (pullback along the closure extension).  Every matrix
-assembled here has entries +-1 (or their sums), stored as ``int``, so
-assembly, the d-d checks and the unit-pivot elimination behind the rank run
-on integers; a ``Fraction`` appears only if elimination meets a row without
-a +-1 entry.
+d∘d = 0 has been checked), and one Cech differential.  It is the
+alternating sum of one restriction rule (Bott-Tu §8): from a tuple
+T = (t0, ..., tk) to T without t_alpha, with sign (-1)^(alpha+1), a cell
+stays where it is, in piece t0, for alpha >= 1, and moves into piece t1 by
+the map t0 -> t1 for alpha = 0, the closure extension in the CLOSED flavor
+and the gluing map itself in the OPEN_CORE flavor.  Its binary block is
+(restriction) - (pullback along that map).  The same rule nests the cores.
+
+Every matrix assembled here has entries +-1 (or their sums), stored as
+``int``, so assembly, the d-d checks and the unit-pivot elimination behind
+the rank run on integers; a ``Fraction`` appears only if elimination meets a
+row without a +-1 entry.
 
 :class:`CoreAssignment` is defined in :mod:`cells`, so that loading a document
 does not load this module, and is re-exported here.
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .adjunction import (
     AdjunctionSystem,
@@ -166,19 +171,19 @@ def _resolve_cores(
         if not is_face_closed(core):
             raise PreconditionError(f"core for tuple {tup} is not face-closed")
         resolved[tup] = core
-    # nesting: the core of a larger tuple must land inside every smaller core
+    # nesting, by the Cech restriction rule: the core of T = (t0, ..., tk)
+    # lies in the core of T without t_alpha, in place for alpha >= 1 and
+    # after the map t0 -> t1 for alpha = 0.  The image is taken in sorted
+    # order, so a cell that the map misses (KeyError) and a cell outside
+    # the smaller core are met in the order of their cells.
     for tup, core in resolved.items():
-        for drop in range(len(tup)):
-            sub = tup[:drop] + tup[drop + 1 :]
-            if len(sub) < 2:
-                continue
-            sub_core = resolved[sub].members if sub in resolved else frozenset()
-            for cell in core.sorted_members():
-                moved = cell if sub[0] == tup[0] else system.cell_map(tup[0], sub[0], cell)
-                if moved not in sub_core:
-                    raise PreconditionError(
-                        f"core for tuple {tup} is not contained in the core for {sub}"
-                    )
+        if len(tup) < 3 or not core.members:
+            continue
+        image = map(system.maps[tup[:2]].forward.__getitem__, core.sorted_members())
+        subs = [(tup[1:], image)] + [(tup[:a] + tup[a + 1 :], core.members) for a in range(1, len(tup))]
+        for sub, cells in subs:
+            if not (resolved[sub].members if sub in resolved else frozenset()).issuperset(cells):
+                raise PreconditionError(f"core for tuple {tup} is not contained in the core for {sub}")
     return resolved
 
 
@@ -194,10 +199,7 @@ class Bicomplex:
     horizontal Cech differential delta (anticommuting after the standard
     twist of d by (-1)^p on column p)."""
 
-    flavor: Flavor
-    system: AdjunctionSystem
     tuples_by_p: list[list[tuple[int, ...]]]
-    domains: dict[tuple[int, ...], CellSet]
     max_q: int
     bases: dict[tuple[int, int], list[BasisLabel]]
     index: dict[tuple[int, int], dict[BasisLabel, int]]
@@ -313,35 +315,6 @@ def _require_closure_intersection(entries: list[NerveTuple]) -> None:
         raise PreconditionError(f"closure-intersection property violated at tuple {bad[0]}")
 
 
-def _flavor_domains(
-    system: AdjunctionSystem,
-    flavor: Flavor,
-    cores: CoreAssignment | None,
-    check_preconditions: bool,
-    entries: list[NerveTuple],
-) -> dict[tuple[int, ...], CellSet]:
-    domains: dict[tuple[int, ...], CellSet] = {
-        (i,): system.pieces[i].whole_set() for i in range(system.n())
-    }
-    if flavor is Flavor.CLOSED_INTERSECTION:
-        if check_preconditions:
-            _require_closure_intersection(entries)
-        domains.update((entry.tup, entry.closed) for entry in entries if entry.closed.members)
-    else:
-        domains.update(_resolve_cores(system, cores, entries))
-    return domains
-
-
-def _domain_transport(
-    system: AdjunctionSystem, flavor: Flavor, src_tuple: tuple[int, ...], cell: str, to_piece: int
-) -> str:
-    if to_piece == src_tuple[0]:
-        return cell
-    if flavor is Flavor.CLOSED_INTERSECTION:
-        return system.closure_cell_map(src_tuple[0], to_piece, cell)
-    return system.cell_map(src_tuple[0], to_piece, cell)
-
-
 def build_bicomplex(
     system: AdjunctionSystem,
     flavor: Flavor,
@@ -352,22 +325,41 @@ def build_bicomplex(
 ) -> Bicomplex:
     """The bicomplex of the given flavor over the nerve of the cover.
 
-    ``entries``, for a caller that has walked the nerve already, must be
-    ``nerve(system)``.
+    The flavor decides two things, here and nowhere else: the domains (the
+    nonempty closed intersections, or the resolved cores) and the cell map
+    t0 -> t1 that carries the restriction dropping the first index (the
+    closure extension, or the map itself).  ``entries``, for a caller that
+    has walked the nerve already, must be ``nerve(system)``.
     """
     if entries is None:
         entries = nerve(system)
-    domains = _flavor_domains(system, flavor, cores, check_preconditions, entries)
-    return _assemble(system, flavor, _column_tuples(system, domains), domains)
+    domains: dict[tuple[int, ...], CellSet] = {
+        (i,): system.pieces[i].whole_set() for i in range(system.n())
+    }
+    if flavor is Flavor.CLOSED_INTERSECTION:
+        if check_preconditions:
+            _require_closure_intersection(entries)
+        domains.update((entry.tup, entry.closed) for entry in entries if entry.closed.members)
+        first_maps = {pair: gm.closure_forward for pair, gm in system.maps.items()}
+    else:
+        domains.update(_resolve_cores(system, cores, entries))
+        first_maps = {pair: gm.forward for pair, gm in system.maps.items()}
+    return _assemble(system, _column_tuples(system, domains), domains, first_maps)
 
 
 def _assemble(
     system: AdjunctionSystem,
-    flavor: Flavor,
     tuples_by_p: list[list[tuple[int, ...]]],
     domains: dict[tuple[int, ...], CellSet],
+    first_maps: Mapping[tuple[int, int], Mapping[str, str]],
 ) -> Bicomplex:
-    """The grid of cochain spaces on ``domains`` and its two differentials."""
+    """The grid of cochain spaces on ``domains`` and its two differentials.
+
+    delta follows the restriction rule of the module docstring, with
+    ``first_maps[(t0, t1)]`` as the map for alpha = 0, taken once per column
+    tuple.  A cell that the rule sends off the domain of the smaller tuple
+    raises PreconditionError.
+    """
     max_q = max(piece.top_dimension for piece in system.pieces)
 
     bases: dict[tuple[int, int], list[BasisLabel]] = {}
@@ -397,31 +389,39 @@ def _assemble(
                 rows.append(row)
             vertical[(p, q)] = Mat(len(rows), len(bases[(p, q)]), rows)
 
+    empty: dict[str, str] = {}
     horizontal: dict[tuple[int, int], Mat] = {}
     for p in range(len(tuples_by_p) - 1):
+        # per column tuple: the sub-tuple without t0 and the map into it, and
+        # the sub-tuples that keep t0 with their signs
+        rules = {
+            tup: (
+                tup[1:],
+                first_maps.get(tup[:2], empty),
+                [(tup[:alpha] + tup[alpha + 1 :], (-1) ** (alpha + 1)) for alpha in range(1, len(tup))],
+            )
+            for tup in tuples_by_p[p + 1]
+        }
         for q in range(max_q + 1):
             col_index = index[(p, q)]
             rows = []
             for tup, cell in bases[(p + 1, q)]:
-                row = {}
-                for alpha in range(len(tup)):
-                    sub = tup[:alpha] + tup[alpha + 1 :]
-                    try:
-                        moved = _domain_transport(system, flavor, tup, cell, sub[0])
-                        row[col_index[(sub, moved)]] = (-1) ** (alpha + 1)
-                    except KeyError as exc:
-                        raise PreconditionError(
-                            f"restriction from tuple {sub} to {tup} undefined at cell "
-                            f"{cell!r}: missing containment"
-                        ) from exc
+                sub, move, kept = rules[tup]
+                # ``sub`` is the restriction being written when a lookup fails
+                try:
+                    row = {col_index[(sub, move[cell])]: -1}
+                    for sub, sign in kept:
+                        row[col_index[(sub, cell)]] = sign
+                except KeyError as exc:
+                    raise PreconditionError(
+                        f"restriction from tuple {sub} to {tup} undefined at cell "
+                        f"{cell!r}: missing containment"
+                    ) from exc
                 rows.append(row)
             horizontal[(p, q)] = Mat(len(rows), len(bases[(p, q)]), rows)
 
     return Bicomplex(
-        flavor=flavor,
-        system=system,
         tuples_by_p=tuples_by_p,
-        domains=domains,
         max_q=max_q,
         bases=bases,
         index=index,

@@ -318,7 +318,8 @@ def parse_cochain_document(doc: Any, system: AdjunctionSystem, names: list[str])
     version = root.get("schema_version")
     _expect(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
     degree = root.get("degree")
-    _expect(isinstance(degree, int) and degree >= 0, "degree", "expected a non-negative integer")
+    # a bool is an int to isinstance, not to the document
+    _expect(type(degree) is int and degree >= 0, "degree", "expected a non-negative integer")
     comp_doc = _as_map(root.get("components"), "components")
     components = []
     for k, pname in enumerate(names):

@@ -5,7 +5,10 @@ intersections included, as the library did before it enumerated the nerve of
 the cover (test_nerve.py); ``normalized_tuples`` is that reference
 enumeration.  ``closure_intersection_check`` keys every such tuple, where the
 library keys only the nerve tuples.  The reference bicomplex is assembled by the
-reference assembly below.
+reference assembly below, which moves every cell of every restriction by its
+own ``transport``, reading the flavor per cell, as the library did before it
+took the map t0 -> t1 once per column tuple (test_rank_cohomology.py,
+test_core_mutations.py).
 
 The sparse-assembly references are ``Mat.matmul``, ``Bicomplex.total_complex``
 and the bicomplex assembly as they were before they built each row in a local
@@ -85,7 +88,6 @@ from nonhausdorff.cohomology import (
     FreeComplex,
     MVReport,
     MVRow,
-    _domain_transport,
     betti,
     build_bicomplex as library_bicomplex,
     total_betti,
@@ -169,8 +171,7 @@ def resolve_cores(
                 continue
             sub_core = resolved[sub]
             for cell in core.sorted_members():
-                moved = cell if sub[0] == tup[0] else system.cell_map(tup[0], sub[0], cell)
-                if moved not in sub_core.members:
+                if transport(system, Flavor.OPEN_CORE, tup, cell, sub[0]) not in sub_core.members:
                     raise PreconditionError(
                         f"core for tuple {tup} is not contained in the core for {sub}"
                     )
@@ -194,13 +195,21 @@ def build_bicomplex(
     system: AdjunctionSystem, flavor: Flavor, cores: CoreAssignment | None = None
 ) -> Bicomplex:
     """The bicomplex with one column entry per tuple, empty domains included,
-    assembled by the library's own matrix code."""
-    n = system.n()
-    domains: dict[tuple[int, ...], CellSet] = {(i,): system.pieces[i].whole_set() for i in range(n)}
+    assembled by the reference assembly below."""
     if flavor is Flavor.CLOSED_INTERSECTION:
         bad = sorted(t for t, ok in closure_intersection_check(system).items() if not ok)
         if bad:
             raise PreconditionError(f"closure-intersection property violated at tuple {bad[0]}")
+    return unchecked_bicomplex(system, flavor, cores)
+
+
+def unchecked_bicomplex(
+    system: AdjunctionSystem, flavor: Flavor, cores: CoreAssignment | None = None
+) -> Bicomplex:
+    """``build_bicomplex`` without the closure-intersection check."""
+    n = system.n()
+    domains: dict[tuple[int, ...], CellSet] = {(i,): system.pieces[i].whole_set() for i in range(n)}
+    if flavor is Flavor.CLOSED_INTERSECTION:
         for tup in normalized_tuples(n):
             domains[tup] = closed_intersection(system, tup)
     else:
@@ -374,7 +383,7 @@ def reglue_classes(system: AdjunctionSystem) -> list[ClassKey]:
     links = [(cls[0], node) for cls in front_classes.classes for node in cls[1:]]
     for cell in union_of_regions(system, last, range(last)).sorted_members():
         seen = [
-            (i, system.cell_map(last, i, cell))
+            (i, system.maps[(last, i)].forward[cell])
             for i in range(last)
             if cell in system.region(last, i).members
         ]
@@ -437,6 +446,18 @@ def total_complex(bicx: Bicomplex) -> FreeComplex:
     return FreeComplex(bases, maps)
 
 
+def transport(
+    system: AdjunctionSystem, flavor: Flavor, tup: tuple[int, ...], cell: str, to_piece: int
+) -> str:
+    """A cell of the domain of ``tup``, seen in piece ``to_piece``: the cell
+    itself in piece tup[0], else its image under the gluing map, or under its
+    closure extension in the closed flavor."""
+    if to_piece == tup[0]:
+        return cell
+    gm = system.maps[(tup[0], to_piece)]
+    return (gm.closure_forward if flavor is Flavor.CLOSED_INTERSECTION else gm.forward)[cell]
+
+
 def assemble(
     system: AdjunctionSystem,
     flavor: Flavor,
@@ -476,7 +497,7 @@ def assemble(
                 for alpha in range(len(tup)):
                     sub = tup[:alpha] + tup[alpha + 1 :]
                     try:
-                        moved = _domain_transport(system, flavor, tup, cell, sub[0])
+                        moved = transport(system, flavor, tup, cell, sub[0])
                         col = col_index[(sub, moved)]
                     except KeyError as exc:
                         raise PreconditionError(
@@ -486,7 +507,7 @@ def assemble(
                     mat.add_to(row, col, (-1) ** (alpha + 1))
             horizontal[(p, q)] = mat
 
-    return Bicomplex(flavor, system, tuples_by_p, domains, max_q, bases, index, vertical, horizontal)
+    return Bicomplex(tuples_by_p, max_q, bases, index, vertical, horizontal)
 
 
 # -- exact rank ---------------------------------------------------------------

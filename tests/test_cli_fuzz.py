@@ -25,7 +25,7 @@ STATUS = {
     0: {"ok"},
     1: {"validation_failed"},
     2: {"precondition_failed"},
-    3: {"parse_error", "io_error"},
+    3: {"parse_error"},
 }
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -21,7 +24,7 @@ from nonhausdorff.schema import (
     serialize_system,
 )
 
-from conftest import BAD_BYTES, FIXTURES_DIR
+from conftest import BAD_BYTES, FIXTURES_DIR, child_env
 
 
 def canonical(doc) -> str:
@@ -198,6 +201,8 @@ COCHAIN_ERRORS = [
     (_set(["components", "C2", "c3"], "x"), "components[C2][c3]: not a rational: 'x'"),
     (_set(["components", "C1", "c0"], "1/0"), "components[C1][c0]: not a rational: '1/0'"),
     (_set(["components", "C1", "c0"], "0.5.1"), "components[C1][c0]: not a rational: '0.5.1'"),
+    pytest.param(_set(["degree"], True), "degree: expected a non-negative integer", id="mutate-degree: true"),
+    pytest.param(_set(["degree"], False), "degree: expected a non-negative integer", id="mutate-degree: false"),
 ]
 
 
@@ -327,6 +332,22 @@ def test_cli_unreadable_bytes_exit_3_naming_the_file(capsys, tmp_path, payload, 
     report = json.loads(out)
     assert report["status"] == "parse_error"
     assert report["diagnostics"][0].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("argv", [["--json", "validate"], ["validate"]], ids=["json", "human"])
+def test_cli_closed_stdout_exits_3_quietly(argv):
+    # the read end is closed before the child starts, so its first write
+    # always meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "nonhausdorff.cli", *argv, str(FIXTURES_DIR / "glued_tori.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (3, "")
 
 
 @pytest.mark.parametrize("slot", ["system", "cochain"])
