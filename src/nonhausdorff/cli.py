@@ -26,7 +26,6 @@ from .adjunction import (
     glued_cell_classes,
     hausdorff_pairs,
     closure_intersection_check,
-    nerve,
     regular_open_check,
     validate_system,
 )
@@ -174,8 +173,7 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     if flavor_key == "dr":
         values = cohomology.de_rham_betti(system)
     else:
-        flavor = cohomology.Flavor[FLAVORS[flavor_key]]
-        values = cohomology.total_betti(cohomology.build_bicomplex(system, flavor, loaded.cores))
+        values = cohomology.singular_betti(system, loaded.cores)
     display = cohomology.trim_trailing_zeros(values)
     top = max(piece.top_dimension for piece in system.pieces)
     display += [0] * (top + 1 - len(display))
@@ -186,11 +184,7 @@ def cmd_betti(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
 def cmd_euler(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cohomology
 
-    system, cores = loaded.system, loaded.cores
-    entries = nerve(system)
-    chi = cohomology.euler_inclusion_exclusion(system, cores, entries=entries)
-    bicx = cohomology.build_bicomplex(system, cohomology.Flavor.OPEN_CORE, cores, entries=entries)
-    betti_open = cohomology.total_betti(bicx)
+    chi, betti_open = cohomology.open_core_euler(loaded.system, loaded.cores)
     alternating = sum((-1) ** q * b for q, b in enumerate(betti_open))
     payload = {
         "inclusion_exclusion": chi,

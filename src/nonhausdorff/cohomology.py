@@ -9,16 +9,24 @@ Two bicomplex flavors are computed over the cover by the pieces:
   carry the homotopy type of the open intersections; its total complex is the
   singular-style cohomology.
 
-Where the closure-intersection property holds, the Cech rows of the
-CLOSED_INTERSECTION bicomplex are exact, so its total cohomology is that of
-the global cochains (the generalized Mayer-Vietoris principle, Bott-Tu
-Prop. 8.8).  Those are the cochains of one small complex, whose cells are
-the classes of (piece, cell) pairs under the closure extensions of the
-gluing maps; ``betti --flavor dr``, the comparison and the fibre-product
-Betti numbers rank that complex instead of the bicomplex, and build the
-bicomplex only where the property or a guard of the class complex fails.
-The Mayer-Vietoris report and the row-exactness check keep the bicomplex,
-whose columns and rows they read.
+Where the Cech rows of a bicomplex are exact past column 0, its total
+cohomology is that of the kernel of delta at column 0 (the generalized
+Mayer-Vietoris principle, Bott-Tu Prop. 8.8).  That kernel is the cochain
+complex of one small complex, whose cells are classes of (piece, cell)
+pairs, and both flavors rank it where its guards hold:
+
+* CLOSED_INTERSECTION - the classes under the closure extensions of the
+  gluing maps (the global cochains), where the closure-intersection property
+  holds; ``betti --flavor dr``, the comparison and the fibre-product Betti
+  numbers;
+* OPEN_CORE - the classes under the gluing maps on the pair cores, where the
+  tuples whose cores hold a class are every subset of its pieces;
+  ``betti --flavor sing``, ``euler`` and the comparison.
+
+One class builder and one guard-and-build step serve both, and a failed
+guard builds the bicomplex, which raises where it always has.  The
+Mayer-Vietoris report and the row-exactness check keep the bicomplex, whose
+columns and rows they read.
 
 All of it shares one exact-rank engine, :meth:`linalg.Mat.rank` (reached
 through the clearing of :func:`linalg.complex_ranks` for a complex whose
@@ -41,9 +49,10 @@ does not load this module, and is re-exported here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .adjunction import (
     AdjunctionSystem,
@@ -172,17 +181,25 @@ def _resolve_cores(
             raise PreconditionError(f"core for tuple {tup} is not face-closed")
         resolved[tup] = core
     # nesting, by the Cech restriction rule: the core of T = (t0, ..., tk)
-    # lies in the core of T without t_alpha, in place for alpha >= 1 and
-    # after the map t0 -> t1 for alpha = 0.  The image is taken in sorted
-    # order, so a cell that the map misses (KeyError) and a cell outside
+    # lies in the core of T without t_alpha, after the map t0 -> t1 for
+    # alpha = 0 and in place for alpha >= 1.  The image is checked cell by
+    # cell in sorted order, so a cell that the map misses and a cell outside
     # the smaller core are met in the order of their cells.
     for tup, core in resolved.items():
         if len(tup) < 3 or not core.members:
             continue
-        image = map(system.maps[tup[:2]].forward.__getitem__, core.sorted_members())
-        subs = [(tup[1:], image)] + [(tup[:a] + tup[a + 1 :], core.members) for a in range(1, len(tup))]
-        for sub, cells in subs:
-            if not (resolved[sub].members if sub in resolved else frozenset()).issuperset(cells):
+        first, forward = tup[1:], system.maps[tup[:2]].forward
+        target = resolved[first].members if first in resolved else frozenset()
+        for cell in core.sorted_members():
+            image = forward.get(cell)
+            if image is None:
+                raise PreconditionError(
+                    f"restriction from tuple {first} to {tup} undefined at cell {cell!r}: missing containment"
+                )
+            if image not in target:
+                raise PreconditionError(f"core for tuple {tup} is not contained in the core for {first}")
+        for sub in (tup[:a] + tup[a + 1 :] for a in range(1, len(tup))):
+            if not (resolved[sub].members if sub in resolved else frozenset()).issuperset(core.members):
                 raise PreconditionError(f"core for tuple {tup} is not contained in the core for {sub}")
     return resolved
 
@@ -441,7 +458,7 @@ def trim_trailing_zeros(values: Sequence[int]) -> list[int]:
     return out
 
 
-# -- the global (fibre product) complex --------------------------------------
+# -- the class complexes -----------------------------------------------------
 
 
 def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
@@ -450,10 +467,9 @@ def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
     the identifications that a global cochain makes, matched frontier cells
     included.
 
-    The classes come in the order of their first members, pieces in order
-    and each piece's cells in its own order, and the members of a class in
-    piece order.  Raises PreconditionError where an extension misses a
-    closure cell or sends one to a cell its target does not have.
+    The classes come in the order of :func:`_glued_classes`.  Raises
+    PreconditionError where an extension misses a closure cell or sends one
+    to a cell its target does not have.
     """
     pieces, names = system.pieces, system.names
     links: list[tuple[tuple[int, str], tuple[int, str]]] = []
@@ -468,18 +484,69 @@ def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
                         f"closure extension {names[i]}->{names[j]} undefined at cell {cell!r}"
                     )
                 links.append(((i, cell), (j, image)))
+    return _glued_classes(system, links)
+
+
+def _core_cell_classes(system: AdjunctionSystem, resolved: dict[tuple[int, ...], CellSet]) -> CellClasses:
+    """Equivalence classes of (piece, cell) pairs under each map i -> j with
+    i < j on the resolved core of (i, j), in the order of
+    :func:`_glued_classes`; ``resolved`` is what ``_resolve_cores`` returns.
+
+    Raises PreconditionError where a map misses a core cell or sends one to
+    a cell its target does not have, and where a class of m members is not
+    held by exactly 2^m - 1 - m tuples of two or more pieces (at its member
+    in piece t0).  The cores nest, so every tuple that holds a class lies
+    among its pieces; for a class with one cell in each of its pieces, the
+    count then says that every such subset holds it (the full simplex).
+    """
+    pieces, names = system.pieces, system.names
+    links: list[tuple[tuple[int, str], tuple[int, str]]] = []
+    for tup, core in resolved.items():
+        if len(tup) == 2 and core.members:
+            i, j = tup
+            gm = system.maps.get(tup)
+            forward = gm.forward if gm is not None else {}
+            for cell in core.members:
+                image = forward.get(cell)
+                if image not in pieces[j].dims:
+                    raise PreconditionError(f"map {names[i]}->{names[j]} undefined at core cell {cell!r}")
+                links.append(((i, cell), (j, image)))
+    classes = _glued_classes(system, links)
+    index = classes.index
+    held = Counter(index[(tup[0], cell)] for tup, core in resolved.items() for cell in core.members)
+    # every class of two or more members is held by the pair core of its
+    # link, so the classes left out are singletons, held by no tuple
+    for k, count in held.items():
+        m = len(classes.classes[k])
+        if count != (1 << m) - 1 - m:
+            i, cell = classes.classes[k][0]
+            raise PreconditionError(f"the cores holding the class of {names[i]}:{cell} are not a full simplex")
+    return classes
+
+
+def _glued_classes(
+    system: AdjunctionSystem, links: list[tuple[tuple[int, str], tuple[int, str]]]
+) -> CellClasses:
+    """Classes of all (piece, cell) pairs under ``links``: the linked pairs
+    by union-find, every other pair a singleton.  The classes come in the
+    order of their first members, pieces in order and each piece's cells in
+    its own order, and the members of a class in piece order."""
     # only linked cells can share a class: every other cell is a singleton
     linked = sorted({node for link in links for node in link})
     group_of = {node: group for group in equivalence_classes(linked, links) for node in group}
     classes: list[ClassKey] = []
-    for i, piece in enumerate(pieces):
+    index: dict[tuple[int, str], int] = {}
+    for i, piece in enumerate(system.pieces):
         for cell in piece.dims:
-            group = group_of.get((i, cell))
+            node = (i, cell)
+            group = group_of.get(node)
             if group is None:
-                classes.append(((i, cell),))
-            elif group[0] == (i, cell):
+                index[node] = len(classes)
+                classes.append((node,))
+            elif group[0] == node:
+                index.update((member, len(classes)) for member in group)
                 classes.append(tuple(group))
-    return CellClasses(classes, {node: k for k, cls in enumerate(classes) for node in cls})
+    return CellClasses(classes, index)
 
 
 def class_boundaries(
@@ -487,8 +554,8 @@ def class_boundaries(
 ) -> tuple[list[int], list[dict[int, int]], int | None]:
     """The dimension and boundary row of each class, and the index of the
     first class whose members do not all give the same dimension and row
-    (None when every class agrees); rows are given up to that class.  Both
-    class complexes are built from it: the global cochains here and
+    (None when every class agrees); rows are given up to that class.  Every
+    class complex is built from it: those of both flavors here and
     :func:`adjunction.quotient_complex`.
 
     A member's row maps the class of each face to its incidence sign, summed
@@ -529,15 +596,16 @@ def class_boundaries(
 
 
 def _class_complex(system: AdjunctionSystem, classes: CellClasses) -> FreeComplex:
-    """The complex of global cochains, the kernel K of delta at column 0 of
-    the CLOSED flavor, with componentwise d; ``classes`` are
-    ``closure_cell_classes(system)``.
+    """The complex of cochains that take one value on each class of
+    ``classes``, with componentwise d: the kernel K of delta at column 0.
+    With the closure classes in the CLOSED flavor, K holds the global
+    cochains; with the core classes in the OPEN_CORE flavor, the cochains
+    that agree along every pair core.
 
-    A global cochain takes one value on each class of (piece, cell) pairs
-    under the closure extensions, so K^q is spanned by the classes of
-    dimension q.  d maps K into itself exactly when every member of a class
-    gives the same class-level boundary row, and that row is then d on K.
-    Raises PreconditionError naming the first class where they differ.
+    K^q is spanned by the classes of dimension q.  d maps K into itself
+    exactly when every member of a class gives the same class-level boundary
+    row, and that row is then d on K.  Raises PreconditionError naming the
+    first class where they differ.
     """
     names = system.names
     dims, rows, mismatch = class_boundaries(system, classes)
@@ -586,6 +654,23 @@ def _restrictions_defined(system: AdjunctionSystem, entries: list[NerveTuple]) -
     return True
 
 
+def _quotient_complex(system: AdjunctionSystem, classes_of: Callable[[], CellClasses]) -> FreeComplex | None:
+    """The class complex of ``classes_of()``, or None where a guard of the
+    class route fails: ``classes_of`` raises PreconditionError, a class
+    holds two cells of one piece, or the members of a class give different
+    rows (``_class_complex`` raises).  Both flavors take this step and build
+    the bicomplex where it gives None."""
+    try:
+        classes = classes_of()
+        # members come in piece order, so a repeated piece is a repeat of its predecessor
+        keys = (key for key in classes.classes if len(key) > 1)
+        if not any(key[m][0] == key[m - 1][0] for key in keys for m in range(1, len(key))):
+            return _class_complex(system, classes)
+    except PreconditionError:
+        pass  # the bicomplex decides
+    return None
+
+
 def _de_rham_betti(system: AdjunctionSystem, entries: list[NerveTuple]) -> list[int]:
     """Total Betti numbers of the CLOSED flavor; ``entries`` is the nerve.
 
@@ -593,21 +678,14 @@ def _de_rham_betti(system: AdjunctionSystem, entries: list[NerveTuple]) -> list[
     Cech rows are exact, so the total cohomology is that of the global
     cochains (the generalized Mayer-Vietoris principle, Bott-Tu Prop. 8.8),
     and the small class complex is ranked.  That needs the restrictions of
-    the bicomplex to be defined, each class to hold at most one cell of each
-    piece, and d to map the global cochains into themselves; a valid system
-    meets all three.  Where the property or a guard fails, the bicomplex is
-    built and ranked, and raises where it did before.  The two lists agree
-    up to trailing zeros.
+    the bicomplex to be defined and the guards of :func:`_quotient_complex`
+    to pass; a valid system meets them.  Otherwise the bicomplex is built and
+    ranked, and raises where it did before.  The two lists agree up to
+    trailing zeros.
     """
     fc = None
     if all(entry.closure_ok for entry in entries) and _restrictions_defined(system, entries):
-        try:
-            classes = closure_cell_classes(system)
-            # members come in piece order, so a repeated piece is a repeat of its predecessor
-            if all(key[m][0] != key[m - 1][0] for key in classes.classes for m in range(1, len(key))):
-                fc = _class_complex(system, classes)
-        except PreconditionError:
-            pass  # the bicomplex decides
+        fc = _quotient_complex(system, lambda: closure_cell_classes(system))
     if fc is not None:
         return betti(fc)
     bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
@@ -621,6 +699,41 @@ def de_rham_betti(system: AdjunctionSystem) -> list[int]:
     entries = nerve(system)
     _require_closure_intersection(entries)
     return _de_rham_betti(system, entries)
+
+
+# -- the singular flavor ------------------------------------------------------
+
+
+def _singular_betti(
+    system: AdjunctionSystem,
+    cores: CoreAssignment | None,
+    entries: list[NerveTuple],
+    resolved: dict[tuple[int, ...], CellSet],
+) -> list[int]:
+    """Total Betti numbers of the OPEN_CORE flavor; ``entries`` is the nerve
+    and ``resolved`` the cores that ``_resolve_cores`` gives for ``cores``.
+
+    The Cech differential moves a core cell only within its class under the
+    maps on the pair cores, so it is block-diagonal by the classes of
+    :func:`_core_cell_classes`.  The block of a class with one cell in each
+    of its pieces is the augmented Cech complex of the tuples whose cores
+    hold it; when those are every subset of its pieces, the block is exact
+    (Bott-Tu Prop. 8.8), and the total cohomology is that of the class
+    complex, which is ranked.  Where a guard fails, the bicomplex is built
+    and ranked, and raises where it did before.  The two lists agree up to
+    trailing zeros.
+    """
+    fc = _quotient_complex(system, lambda: _core_cell_classes(system, resolved))
+    if fc is not None:
+        return betti(fc)
+    return total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, entries=entries))
+
+
+def singular_betti(system: AdjunctionSystem, cores: CoreAssignment | None = None) -> list[int]:
+    """Total Betti numbers of the OPEN_CORE flavor; raises PreconditionError
+    where the cores do not resolve, as ``build_bicomplex`` does."""
+    entries = nerve(system)
+    return _singular_betti(system, cores, entries, _resolve_cores(system, cores, entries))
 
 
 # -- row exactness ------------------------------------------------------------
@@ -769,13 +882,27 @@ def euler_inclusion_exclusion(
     homotopy type of each open intersection supplied by its core.
     ``entries``, for a caller that has walked the nerve already, must be
     ``nerve(system)``."""
+    if entries is None:
+        entries = nerve(system)
+    return _euler_of_cores(system, _resolve_cores(system, cores, entries))
+
+
+def _euler_of_cores(system: AdjunctionSystem, resolved: dict[tuple[int, ...], CellSet]) -> int:
     total = 0
     for i in range(system.n()):
         total += euler_characteristic(system.pieces[i].whole_set())
-    resolved = _resolve_cores(system, cores, nerve(system) if entries is None else entries)
     for tup, core in resolved.items():
         total += (-1) ** (len(tup) + 1) * euler_characteristic(core)
     return total
+
+
+def open_core_euler(system: AdjunctionSystem, cores: CoreAssignment | None = None) -> tuple[int, list[int]]:
+    """chi by :func:`euler_inclusion_exclusion` and the total Betti numbers
+    of the OPEN_CORE flavor, from one walk of the nerve and one resolution
+    of the cores."""
+    entries = nerve(system)
+    resolved = _resolve_cores(system, cores, entries)
+    return _euler_of_cores(system, resolved), _singular_betti(system, cores, entries, resolved)
 
 
 @dataclass(eq=False)
@@ -797,7 +924,7 @@ def de_rham_compare(system: AdjunctionSystem, cores: CoreAssignment | None = Non
     once and serves both flavors and the closure-intersection verdict."""
     entries = nerve(system)
     dr = _de_rham_betti(system, entries)
-    sing = total_betti(build_bicomplex(system, Flavor.OPEN_CORE, cores, entries=entries))
+    sing = _singular_betti(system, cores, entries, _resolve_cores(system, cores, entries))
     width = max(len(dr), len(sing))
     dr += [0] * (width - len(dr))
     sing += [0] * (width - len(sing))

@@ -16,11 +16,12 @@ from typing import Callable
 
 import pytest
 
+from nonhausdorff import cohomology
 from nonhausdorff import fixtures as fixture_mod
 from nonhausdorff.adjunction import AdjunctionSystem, glued_cell_classes
 from nonhausdorff.cells import CellComplex, CellSet, MetricComplex, Orientation, closure, star
 from nonhausdorff.cochains import Cochain, GlobalCochain, assemble_global
-from nonhausdorff.cohomology import CoreAssignment
+from nonhausdorff.cohomology import CoreAssignment, Flavor
 from nonhausdorff.errors import NonHausdorffError
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -359,6 +360,46 @@ def glued_hexagons(
         pieces, [f"C{i}" for i in range(k)], regions, maps, _plus_orientations(pieces)
     )
     return fixture_mod.Fixture(f"hexagons_{k}", system, cores)
+
+
+def hexagon_chain() -> fixture_mod.Fixture:
+    """Three hexagons glued in a chain along open arcs, with the middle
+    vertex of each arc as its core."""
+    fx = glued_hexagons(3, HEXAGON_CHAIN)
+    pieces = fx.system.pieces
+    cores = {(0, 1): CellSet.of(pieces[0], ["w1"]), (1, 2): CellSet.of(pieces[1], ["w4"])}
+    return fixture_mod.Fixture("hexagon_chain", fx.system, CoreAssignment(cores))
+
+
+def arc_hexagons(rng: random.Random) -> fixture_mod.Fixture:
+    """Three hexagons, each pair glued by identity on a random open arc of
+    one to three edges, or not at all.  Only a triple can fail the
+    closure-intersection property, where two arcs of one piece touch
+    without overlapping; so in about half the draws C0's arc to C2 starts
+    where its arc to C1 ends."""
+    arcs: dict[tuple[int, int], list[str]] = {}
+    end = rng.randrange(6)
+    for pair in itertools.combinations(range(3), 2):
+        if rng.random() < 0.8:
+            start = end if pair == (0, 2) and rng.random() < 0.5 else rng.randrange(6)
+            length = rng.randint(1, 3)
+            edges = [f"c{(start + t) % 6}" for t in range(length)]
+            arcs[pair] = edges + [f"w{(start + t) % 6}" for t in range(1, length)]
+            end = (start + length) % 6
+    return glued_hexagons(3, arcs)
+
+
+def counted_builds(monkeypatch) -> list[Flavor]:
+    """The flavor of each ``cohomology.build_bicomplex`` call from here on."""
+    builds: list[Flavor] = []
+    build = cohomology.build_bicomplex
+
+    def counted(system, flavor, *args, **kwargs):
+        builds.append(flavor)
+        return build(system, flavor, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "build_bicomplex", counted)
+    return builds
 
 
 def cochain_document(system: AdjunctionSystem, degree: int, rng: random.Random) -> dict:

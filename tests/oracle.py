@@ -171,7 +171,14 @@ def resolve_cores(
                 continue
             sub_core = resolved[sub]
             for cell in core.sorted_members():
-                if transport(system, Flavor.OPEN_CORE, tup, cell, sub[0]) not in sub_core.members:
+                try:
+                    moved = transport(system, Flavor.OPEN_CORE, tup, cell, sub[0])
+                except KeyError as exc:
+                    raise PreconditionError(
+                        f"restriction from tuple {sub} to {tup} undefined at cell "
+                        f"{cell!r}: missing containment"
+                    ) from exc
+                if moved not in sub_core.members:
                     raise PreconditionError(
                         f"core for tuple {tup} is not contained in the core for {sub}"
                     )
