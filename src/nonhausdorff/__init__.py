@@ -27,7 +27,6 @@ _EXPORTS = {
         "nerve",
         "open_intersection",
         "closed_intersection",
-        "quotient_complex",
         "regular_open_check",
         "validate_system",
     ),
@@ -71,6 +70,7 @@ _EXPORTS = {
         "euler_inclusion_exclusion",
         "global_complex_betti",
         "mv_report",
+        "quotient_complex",
         "row_exactness_check",
         "total_betti",
     ),

@@ -7,6 +7,9 @@ sign-preserving bijectivity of the maps, and the extension of each map to the
 closure of its region.  Hausdorff-violating pairs live exactly on the matched
 frontiers of the gluing regions.
 
+A gluing map holds only its two cell tables; its pieces and regions are the
+system's.  Every partition of (piece, cell) pairs comes from :func:`glued_classes`.
+
 The classes here are plain classes with written-out constructors and
 ``__slots__`` (except :class:`NerveTuple`, whose cached closure needs an
 instance dict), compared by identity except :class:`HausdorffPair`, so that
@@ -33,41 +36,28 @@ from .cells import (
 from .errors import PreconditionError, ValidationReport
 
 ClassKey = tuple[tuple[int, str], ...]
+Link = tuple[tuple[int, str], tuple[int, str]]
 
 
 class GluingMap:
-    """A dimension- and sign-preserving bijection between two open regions.
+    """A dimension- and sign-preserving bijection from the region U_ij of
+    piece i onto the region U_ji of piece j; the pieces and the regions are
+    the system's, under the map's key (i, j).
 
     ``closure_forward`` extends ``forward`` to the face-closure of the source
     region; it is required data whenever the frontier is nonempty.
     """
 
-    __slots__ = ("source_piece", "target_piece", "source", "target", "forward", "closure_forward")
+    __slots__ = ("forward", "closure_forward")
 
-    def __init__(
-        self,
-        source_piece: int,
-        target_piece: int,
-        source: CellSet,
-        target: CellSet,
-        forward: Mapping[str, str],
-        closure_forward: Mapping[str, str],
-    ):
-        self.source_piece = source_piece
-        self.target_piece = target_piece
-        self.source = source
-        self.target = target
+    def __init__(self, forward: Mapping[str, str], closure_forward: Mapping[str, str]):
         self.forward = forward
         self.closure_forward = closure_forward
 
     def inverse(self) -> "GluingMap":
         return GluingMap(
-            source_piece=self.target_piece,
-            target_piece=self.source_piece,
-            source=self.target,
-            target=self.source,
-            forward={v: k for k, v in self.forward.items()},
-            closure_forward={v: k for k, v in self.closure_forward.items()},
+            {v: k for k, v in self.forward.items()},
+            {v: k for k, v in self.closure_forward.items()},
         )
 
 
@@ -147,21 +137,15 @@ class AdjunctionSystem:
         }
         gluing: dict[tuple[int, int], GluingMap] = {}
         for (i, j), (pairs, closure_pairs) in (maps or {}).items():
-            source = region_sets.get((i, j))
-            if source is None:
-                source = CellSet.of(pieces[i], pairs.keys())
-                region_sets[(i, j)] = source
-            target = region_sets.get((j, i))
-            if target is None:
-                target = CellSet.of(pieces[j], pairs.values())
-                region_sets[(j, i)] = target
-            forward = dict(pairs)
+            if (i, j) not in region_sets:
+                region_sets[(i, j)] = CellSet.of(pieces[i], pairs.keys())
+            if (j, i) not in region_sets:
+                region_sets[(j, i)] = CellSet.of(pieces[j], pairs.values())
             closure_forward = dict(closure_pairs) if closure_pairs is not None else dict(pairs)
-            gluing[(i, j)] = GluingMap(i, j, source, target, forward, closure_forward)
+            gluing[(i, j)] = GluingMap(dict(pairs), closure_forward)
         for (i, j) in sorted(gluing):
             if (j, i) not in gluing:
                 gluing[(j, i)] = gluing[(i, j)].inverse()
-                region_sets.setdefault((j, i), gluing[(j, i)].source)
         return cls(pieces, names, region_sets, gluing, list(orientations) if orientations else None)
 
     # -- accessors ---------------------------------------------------------
@@ -296,7 +280,7 @@ def validate_system(system: AdjunctionSystem) -> ValidationReport:
         inv = {v: k for k, v in gm.forward.items()}
         if rev.forward != inv:
             report.add("A2", loc, "reverse map is not the inverse of the forward map")
-        if rev.source.members != frozenset(gm.forward.values()):
+        if system.region(j, i).members != frozenset(gm.forward.values()):
             report.add("A2", loc, "reverse region differs from the image of the forward region")
         inv_closure = {v: k for k, v in gm.closure_forward.items()}
         if rev.closure_forward != inv_closure:
@@ -342,16 +326,14 @@ def _validate_gluing_map(
     the closure of every declared region (an undeclared region is empty)."""
     pi, pj = system.pieces[i], system.pieces[j]
     loc = f"map({system.names[i]},{system.names[j]})"
-    members = system.region(i, j).members
+    members, opposite = system.region(i, j).members, system.region(j, i).members
     forward, extension = gm.forward, gm.closure_forward
-    if gm.source.members != members:
-        report.add("map-domain", loc, "map source differs from the declared region")
     if forward.keys() != members:
         report.add("bijection", loc, "map is not defined on exactly the region")
     image = set(forward.values())
     if len(image) != len(forward):
         report.add("bijection", loc, "map is not injective")
-    if image != gm.target.members:
+    if image != opposite:
         report.add("bijection", loc, "map image differs from the target region")
 
     src_closure = closures.get((i, j), frozenset())
@@ -375,7 +357,7 @@ def _validate_gluing_map(
     # frontier goes to frontier
     if extends and star_closed.get((i, j), True) and star_closed.get((j, i), True):
         mapped = {extension[c] for c in src_closure - members if c in extension}
-        if mapped != tgt_closure - system.region(j, i).members:
+        if mapped != tgt_closure - opposite:
             report.add("frontier-bijection", loc, "frontier does not map onto the opposite frontier")
 
     # dimension and incidence-sign preservation on the whole closure, in cell
@@ -481,21 +463,50 @@ def hausdorff_pairs(system: AdjunctionSystem) -> list[HausdorffPair]:
     return pairs
 
 
+def glued_classes(system: AdjunctionSystem, links: list[Link]) -> CellClasses:
+    """Classes of all (piece, cell) pairs under ``links`` ((i, c), (j, d)) of
+    the maps i -> j: linked pairs by union-find, every other pair a singleton.
+    Classes come in the order of their first members (pieces in order, each
+    piece's cells in its own order), members in piece order.  Raises
+    PreconditionError, naming the map and the cell, where a link names a
+    cell its piece does not have."""
+    pieces = system.pieces
+    # only linked cells can share a class: every other cell is a singleton
+    linked = sorted({node for link in links for node in link})
+    for k, cell in linked:
+        if cell not in pieces[k].dims:
+            names = system.names
+            (i, _), (j, _) = next(link for link in links if (k, cell) in link)
+            raise PreconditionError(f"map {names[i]}->{names[j]}: {names[k]} has no cell {cell!r}")
+    group_of = {node: group for group in equivalence_classes(linked, links) for node in group}
+    classes: list[ClassKey] = []
+    index: dict[tuple[int, str], int] = {}
+    for i, piece in enumerate(pieces):
+        for cell in piece.dims:
+            node = (i, cell)
+            group = group_of.get(node)
+            if group is None:
+                index[node] = len(classes)
+                classes.append((node,))
+            elif group[0] == node:
+                index.update((member, len(classes)) for member in group)
+                classes.append(tuple(group))
+    return CellClasses(classes, index)
+
+
 def glued_cell_classes(system: AdjunctionSystem) -> CellClasses:
-    """Equivalence classes of (piece, cell) pairs under the open-region maps.
+    """Equivalence classes of (piece, cell) pairs under the open-region maps,
+    every direction, in the order of :func:`glued_classes`.
 
     Frontier cells are never identified; they stay in singleton classes unless
     some other region covers them.
     """
-    links = (
+    links = [
         ((i, cell), (j, image))
         for (i, j), gm in sorted(system.maps.items())
         for cell, image in gm.forward.items()
-    )
-    nodes = [(i, c) for i, piece in enumerate(system.pieces) for c in piece.cell_ids()]
-    classes = sorted(tuple(sorted(group)) for group in equivalence_classes(nodes, links))
-    index = {node: k for k, cls in enumerate(classes) for node in cls}
-    return CellClasses(classes, index)
+    ]
+    return glued_classes(system, links)
 
 
 def closure_intersection_check(system: AdjunctionSystem) -> dict[tuple[int, ...], bool]:
@@ -515,23 +526,3 @@ def regular_open_check(system: AdjunctionSystem) -> dict[tuple[int, int], bool]:
         region = system.region(i, j)
         out[(i, j)] = interior(closure(region)).members == region.members
     return out
-
-
-def quotient_complex(system: AdjunctionSystem) -> tuple[CellComplex, CellClasses]:
-    """Directly build the glued complex; only defined when no Hausdorff
-    violations remain (all regions clopen), otherwise incidence at the
-    doubled frontier would be ambiguous."""
-    if hausdorff_pairs(system):
-        raise PreconditionError("quotient_complex: system has Hausdorff-violating pairs")
-    # the class builder is shared with the global cochains and lives with
-    # them, off the path of a cold validate or hausdorff, which load this module
-    from .cohomology import class_boundaries
-
-    classes = glued_cell_classes(system)
-    labels = [f"{i}:{c}" for (i, c), *_ in classes.classes]
-    dims, rows, mismatch = class_boundaries(system, classes)
-    # incidence must agree from every member, else the quotient is bogus
-    if mismatch is not None:
-        raise PreconditionError(f"quotient_complex: incidence mismatch on class {labels[mismatch]}")
-    faces = {labels[k]: {labels[face]: sign for face, sign in row.items()} for k, row in enumerate(rows)}
-    return CellComplex.build(zip(labels, dims), faces), classes

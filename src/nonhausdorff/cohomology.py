@@ -23,10 +23,12 @@ pairs, and both flavors rank it where its guards hold:
   tuples whose cores hold a class are every subset of its pieces;
   ``betti --flavor sing``, ``euler`` and the comparison.
 
-One class builder and one guard-and-build step serve both, and a failed
-guard builds the bicomplex, which raises where it always has.  The
-Mayer-Vietoris report and the row-exactness check keep the bicomplex, whose
-columns and rows they read.
+Both take their classes from the one class builder,
+:func:`adjunction.glued_classes`, and share one guard-and-build step; a
+failed guard builds the bicomplex, which raises where it always has.  The
+class boundaries also give :func:`quotient_complex`, the glued complex of a
+system without Hausdorff violations.  The Mayer-Vietoris report and the
+row-exactness check keep the bicomplex, whose columns and rows they read.
 
 All of it shares one exact-rank engine, :meth:`linalg.Mat.rank` (reached
 through the clearing of :func:`linalg.complex_ranks` for a complex whose
@@ -57,17 +59,20 @@ from typing import Callable, Mapping, Sequence
 from .adjunction import (
     AdjunctionSystem,
     CellClasses,
-    ClassKey,
+    Link,
     NerveTuple,
+    glued_cell_classes,
+    glued_classes,
+    hausdorff_pairs,
     nerve,
     regular_open_check,
     union_of_regions,
 )
 from .cells import (
+    CellComplex,
     CellSet,
     CoreAssignment,
     closure,
-    equivalence_classes,
     euler_characteristic,
     interior,
     is_face_closed,
@@ -467,12 +472,12 @@ def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
     the identifications that a global cochain makes, matched frontier cells
     included.
 
-    The classes come in the order of :func:`_glued_classes`.  Raises
+    The classes come in the order of :func:`adjunction.glued_classes`.  Raises
     PreconditionError where an extension misses a closure cell or sends one
     to a cell its target does not have.
     """
     pieces, names = system.pieces, system.names
-    links: list[tuple[tuple[int, str], tuple[int, str]]] = []
+    links: list[Link] = []
     for (i, j), region in sorted(system.regions.items()):
         if i < j and region.members:
             gm = system.maps.get((i, j))
@@ -484,13 +489,14 @@ def closure_cell_classes(system: AdjunctionSystem) -> CellClasses:
                         f"closure extension {names[i]}->{names[j]} undefined at cell {cell!r}"
                     )
                 links.append(((i, cell), (j, image)))
-    return _glued_classes(system, links)
+    return glued_classes(system, links)
 
 
 def _core_cell_classes(system: AdjunctionSystem, resolved: dict[tuple[int, ...], CellSet]) -> CellClasses:
     """Equivalence classes of (piece, cell) pairs under each map i -> j with
     i < j on the resolved core of (i, j), in the order of
-    :func:`_glued_classes`; ``resolved`` is what ``_resolve_cores`` returns.
+    :func:`adjunction.glued_classes`; ``resolved`` is what ``_resolve_cores``
+    returns.
 
     Raises PreconditionError where a map misses a core cell or sends one to
     a cell its target does not have, and where a class of m members is not
@@ -500,7 +506,7 @@ def _core_cell_classes(system: AdjunctionSystem, resolved: dict[tuple[int, ...],
     count then says that every such subset holds it (the full simplex).
     """
     pieces, names = system.pieces, system.names
-    links: list[tuple[tuple[int, str], tuple[int, str]]] = []
+    links: list[Link] = []
     for tup, core in resolved.items():
         if len(tup) == 2 and core.members:
             i, j = tup
@@ -511,7 +517,7 @@ def _core_cell_classes(system: AdjunctionSystem, resolved: dict[tuple[int, ...],
                 if image not in pieces[j].dims:
                     raise PreconditionError(f"map {names[i]}->{names[j]} undefined at core cell {cell!r}")
                 links.append(((i, cell), (j, image)))
-    classes = _glued_classes(system, links)
+    classes = glued_classes(system, links)
     index = classes.index
     held = Counter(index[(tup[0], cell)] for tup, core in resolved.items() for cell in core.members)
     # every class of two or more members is held by the pair core of its
@@ -524,39 +530,14 @@ def _core_cell_classes(system: AdjunctionSystem, resolved: dict[tuple[int, ...],
     return classes
 
 
-def _glued_classes(
-    system: AdjunctionSystem, links: list[tuple[tuple[int, str], tuple[int, str]]]
-) -> CellClasses:
-    """Classes of all (piece, cell) pairs under ``links``: the linked pairs
-    by union-find, every other pair a singleton.  The classes come in the
-    order of their first members, pieces in order and each piece's cells in
-    its own order, and the members of a class in piece order."""
-    # only linked cells can share a class: every other cell is a singleton
-    linked = sorted({node for link in links for node in link})
-    group_of = {node: group for group in equivalence_classes(linked, links) for node in group}
-    classes: list[ClassKey] = []
-    index: dict[tuple[int, str], int] = {}
-    for i, piece in enumerate(system.pieces):
-        for cell in piece.dims:
-            node = (i, cell)
-            group = group_of.get(node)
-            if group is None:
-                index[node] = len(classes)
-                classes.append((node,))
-            elif group[0] == node:
-                index.update((member, len(classes)) for member in group)
-                classes.append(tuple(group))
-    return CellClasses(classes, index)
-
-
 def class_boundaries(
     system: AdjunctionSystem, classes: CellClasses
 ) -> tuple[list[int], list[dict[int, int]], int | None]:
     """The dimension and boundary row of each class, and the index of the
     first class whose members do not all give the same dimension and row
     (None when every class agrees); rows are given up to that class.  Every
-    class complex is built from it: those of both flavors here and
-    :func:`adjunction.quotient_complex`.
+    class complex is built from it: those of both flavors and
+    :func:`quotient_complex`.
 
     A member's row maps the class of each face to its incidence sign, summed
     over faces in one class, with zero sums and faces that are not cells
@@ -593,6 +574,22 @@ def class_boundaries(
                     return dims, rows, k
         rows.append(row)
     return dims, rows, None
+
+
+def quotient_complex(system: AdjunctionSystem) -> tuple[CellComplex, CellClasses]:
+    """Directly build the glued complex; only defined when no Hausdorff
+    violations remain (all regions clopen), otherwise incidence at the
+    doubled frontier would be ambiguous."""
+    if hausdorff_pairs(system):
+        raise PreconditionError("quotient_complex: system has Hausdorff-violating pairs")
+    classes = glued_cell_classes(system)
+    labels = [f"{i}:{c}" for (i, c), *_ in classes.classes]
+    dims, rows, mismatch = class_boundaries(system, classes)
+    # incidence must agree from every member, else the quotient is bogus
+    if mismatch is not None:
+        raise PreconditionError(f"quotient_complex: incidence mismatch on class {labels[mismatch]}")
+    faces = {labels[k]: {labels[face]: sign for face, sign in row.items()} for k, row in enumerate(rows)}
+    return CellComplex.build(zip(labels, dims), faces), classes
 
 
 def _class_complex(system: AdjunctionSystem, classes: CellClasses) -> FreeComplex:

@@ -80,19 +80,13 @@ def subdivide_system(system: AdjunctionSystem) -> AdjunctionSystem:
         key: _expand_cells(system.pieces[key[0]], cs.sorted_members())
         for key, cs in system.regions.items()
     }
-    maps: dict[tuple[int, int], GluingMap] = {}
-    for key, gm in system.maps.items():
-        i, j = key
-        forward = _expand_pairs(system.pieces[i], dict(gm.forward))
-        closure_forward = _expand_pairs(system.pieces[i], dict(gm.closure_forward))
-        maps[key] = GluingMap(
-            source_piece=i,
-            target_piece=j,
-            source=CellSet.of(new_pieces[i], regions[key]),
-            target=CellSet.of(new_pieces[j], forward.values()),
-            forward=forward,
-            closure_forward=closure_forward,
+    maps = {
+        key: GluingMap(
+            _expand_pairs(system.pieces[key[0]], gm.forward),
+            _expand_pairs(system.pieces[key[0]], gm.closure_forward),
         )
+        for key, gm in system.maps.items()
+    }
     orientations = None
     if system.orientations is not None:
         orientations = []

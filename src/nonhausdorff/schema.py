@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from .cochains import GlobalCochain
 
 SCHEMA_VERSION = "1"
+MAX_EXPONENT = 4300  # sys.int_info.default_max_str_digits, the JSON reader's cap on integer digits
 
 
 class LoadedSystem:
@@ -254,7 +255,7 @@ def serialize_system(
             forward_gm = system.gluing(j, i)
             if forward_gm is not None and gm is not None:
                 derived = forward_gm.inverse()
-                same_region = system.region(i, j).members == derived.source.members
+                same_region = system.region(i, j).members == derived.forward.keys()
                 if (
                     same_region
                     and gm.forward == derived.forward
@@ -333,7 +334,11 @@ def parse_cochain_document(doc: Any, system: AdjunctionSystem, names: list[str])
             if dims[cid] != degree:
                 _fail(f"components[{pname}][{cid}]", f"cell has dimension {dims[cid]}, document degree is {degree}")
             try:
-                value = Fraction(str(text))
+                digits = str(text)
+                # Fraction computes 10**exponent with no limit
+                if ("e" in digits or "E" in digits) and abs(int(digits.lower().rpartition("e")[2])) > MAX_EXPONENT:
+                    raise ValueError(digits)
+                value = Fraction(digits)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"components[{pname}][{cid}]: not a rational: {text!r}") from exc
             if value:

@@ -15,7 +15,7 @@ import random
 import time
 
 from nonhausdorff import cli
-from nonhausdorff.adjunction import glued_cell_classes, quotient_complex
+from nonhausdorff.adjunction import glued_cell_classes
 from nonhausdorff.cells import Orientation
 from nonhausdorff.cochains import (
     boundary_chain,
@@ -35,6 +35,7 @@ from nonhausdorff.cohomology import (
     euler_inclusion_exclusion,
     global_complex_betti,
     mv_report,
+    quotient_complex,
     row_exactness_check,
     total_betti,
     trim_trailing_zeros,

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from nonhausdorff import adjunction, cli, cohomology, geometry, refine
-from nonhausdorff.adjunction import AdjunctionSystem, quotient_complex
+from nonhausdorff.adjunction import AdjunctionSystem
 from nonhausdorff.cohomology import (
     Flavor,
     FreeComplex,
@@ -16,6 +16,7 @@ from nonhausdorff.cohomology import (
     euler_inclusion_exclusion,
     global_complex_betti,
     mv_report,
+    quotient_complex,
     row_exactness_check,
     total_betti,
     trim_trailing_zeros,

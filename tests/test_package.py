@@ -78,3 +78,20 @@ def test_library_has_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("name", ["adjunction.py", "cells.py"])
+def test_loading_modules_import_no_computation(name):
+    # loading and validating a document (a cold ``validate`` or ``hausdorff``)
+    # must not pull in the computation layers, not even from inside a function
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.rpartition(".")[2])
+            else:  # from . import name
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & {"cohomology", "linalg", "cochains", "geometry"}, sorted(imported)

@@ -43,7 +43,7 @@ def test_round_trip_every_fixture():
 def test_round_trip_preserves_semantics():
     fx = line_two_origins()
     loaded = parse_document(serialize_fixture(fx))
-    assert glued_cell_classes(loaded.system).classes == glued_cell_classes(fx.system).classes
+    assert sorted(glued_cell_classes(loaded.system).classes) == sorted(glued_cell_classes(fx.system).classes)
     assert hausdorff_pairs(loaded.system) == hausdorff_pairs(fx.system)
 
 
@@ -201,6 +201,15 @@ COCHAIN_ERRORS = [
     (_set(["components", "C2", "c3"], "x"), "components[C2][c3]: not a rational: 'x'"),
     (_set(["components", "C1", "c0"], "1/0"), "components[C1][c0]: not a rational: '1/0'"),
     (_set(["components", "C1", "c0"], "0.5.1"), "components[C1][c0]: not a rational: '0.5.1'"),
+    # Fraction would compute 10**exponent: an exponent past 4300 digits' worth is refused
+    (_set(["components", "C1", "c0"], "1e5000"), "components[C1][c0]: not a rational: '1e5000'"),
+    (_set(["components", "C1", "c0"], "1e-5000"), "components[C1][c0]: not a rational: '1e-5000'"),
+    (_set(["components", "C1", "c0"], "-2.5E+4301"), "components[C1][c0]: not a rational: '-2.5E+4301'"),
+    pytest.param(
+        _set(["components", "C1", "c0"], "1e" + "9" * 4400),
+        f"components[C1][c0]: not a rational: '1e{'9' * 4400}'",
+        id="mutate-components.C1.c0: exponent too long to read",
+    ),
     pytest.param(_set(["degree"], True), "degree: expected a non-negative integer", id="mutate-degree: true"),
     pytest.param(_set(["degree"], False), "degree: expected a non-negative integer", id="mutate-degree: false"),
 ]
@@ -224,6 +233,15 @@ def test_cochain_values_parse_exactly():
     assert dict(w.components[0].values) == {"c3": Fraction(-1, 2), "c5": Fraction(1, 4)}
     assert dict(w.components[1].values) == {"c3": Fraction(2), "c4": Fraction(1, 100)}
     assert all(type(v) is Fraction for comp in w.components for v in comp.values.values())
+
+
+def test_cochain_exponents_up_to_the_cap_parse_exactly():
+    s = glued_circles().system
+    doc = {"schema_version": "1", "degree": 1,
+           "components": {"C1": {"c3": "1e4300", "c4": "-2.5E-4300"}, "C2": {"c3": 1e300}}}
+    w = parse_cochain_document(doc, s, s.names)
+    assert dict(w.components[0].values) == {"c3": Fraction(10**4300), "c4": Fraction(-25, 10**4301)}
+    assert w.components[1].values["c3"] == Fraction(10**300)
 
 
 def test_cochain_document_round_trip():
@@ -415,6 +433,20 @@ def test_cli_incompatible_cochain_exits_1(capsys, tmp_path):
         capsys, "stokes-check", str(FIXTURES_DIR / "glued_circles.json"), str(cochain_path)
     )
     assert code == 1
+
+
+def test_cli_huge_exponent_exits_3(capsys, tmp_path):
+    # parsing used to compute 10**999999999, which runs for hours
+    doc = {"schema_version": "1", "degree": 1, "components": {"C1": {"c0": "1e999999999"}, "C2": {}}}
+    cochain_path = tmp_path / "huge.json"
+    cochain_path.write_text(json.dumps(doc))
+    system_path = str(FIXTURES_DIR / "glued_circles.json")
+    for command in ("integrate", "stokes-check"):
+        code, out = run_cli(capsys, "--json", command, system_path, str(cochain_path))
+        assert code == 3
+        report = json.loads(out)
+        assert report["status"] == "parse_error"
+        assert report["diagnostics"] == ["components[C1][c0]: not a rational: '1e999999999'"]
 
 
 def test_cli_mv_report_and_compare(capsys):
