@@ -204,8 +204,8 @@ def cmd_integrate(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
     from . import cochains
 
     w = parse_cochain_document(_read(args.cochain), loaded.system, loaded.system.names)
-    value = cochains.integrate(w)
-    payload = {"integral": str(value)}
+    (value,) = cochains.exact_texts(cochains.integrate(w))
+    payload = {"integral": value}
     return "ok", payload, f"integral = {value}"
 
 
@@ -214,10 +214,11 @@ def cmd_stokes_check(loaded: LoadedSystem, args: argparse.Namespace) -> Result:
 
     w = parse_cochain_document(_read(args.cochain), loaded.system, loaded.system.names)
     lhs, rhs = cochains.stokes_defect(w)
-    payload = {"integral_of_dw": str(lhs), "minus_frontier_integral": str(rhs), "equal": lhs == rhs}
+    lhs_text, rhs_text = cochains.exact_texts(lhs, rhs)
+    payload = {"integral_of_dw": lhs_text, "minus_frontier_integral": rhs_text, "equal": lhs == rhs}
     human = (
-        f"integral of dw over the glued space = {lhs}\n"
-        f"- (oriented frontier sum of w)      = {rhs}\n"
+        f"integral of dw over the glued space = {lhs_text}\n"
+        f"- (oriented frontier sum of w)      = {rhs_text}\n"
         f"equal: {lhs == rhs}"
     )
     return "ok", payload, human

@@ -17,6 +17,7 @@ error message formats a numerator over D only when a check fails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,11 +83,6 @@ def coboundary(w: Cochain) -> Cochain:
     return Cochain(w.owner, w.degree + 1, _unscale(d_numerators, scale))
 
 
-def restrict(w: Cochain, domain: CellSet) -> Cochain:
-    values = {c: v for c, v in w.values.items() if c in domain.members}
-    return Cochain(domain, w.degree, values)
-
-
 def extend_by_zero(w: Cochain) -> Cochain:
     """Extend a cochain on a face-closed domain by zero into its whole piece."""
     if not is_face_closed(w.owner):
@@ -133,9 +129,26 @@ def coboundary_global(w: GlobalCochain) -> GlobalCochain:
     return assemble_global(w.system, [coboundary(comp) for comp in w.components])
 
 
-def zero_global(system: AdjunctionSystem, degree: int) -> GlobalCochain:
-    comps = [Cochain(piece.whole_set(), degree, {}) for piece in system.pieces]
-    return GlobalCochain(system, degree, tuple(comps))
+def exact_texts(*values: Fraction) -> list[str]:
+    """The decimal text of each exact result, as ``str`` gives it.  Raises
+    PreconditionError where a numerator or denominator has more digits than
+    the interpreter converts to text (``sys.get_int_max_str_digits()``,
+    4300 by default)."""
+    try:
+        return [str(value) for value in values]
+    except ValueError as exc:
+        raise PreconditionError(
+            f"exact result too long to print: it has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
+def _message_text(numerator: int, scale: int) -> str:
+    """numerator/scale for an error message, which must not raise: a value
+    too long to convert to text is described by the digit limit instead."""
+    try:
+        return str(Fraction(numerator, scale))
+    except ValueError:
+        return f"(a value of more than {sys.get_int_max_str_digits()} digits)"
 
 
 # -- the integer kernel --------------------------------------------------------
@@ -231,8 +244,8 @@ def _require_compatible(
                 (i, cell),
                 (j, image),
                 f"components disagree: piece {system.names[i]} cell {cell!r} = "
-                f"{Fraction(left.get(cell, 0), scale)} but piece {system.names[j]} cell "
-                f"{image!r} = {Fraction(right.get(image, 0), scale)}",
+                f"{_message_text(left.get(cell, 0), scale)} but piece {system.names[j]} cell "
+                f"{image!r} = {_message_text(right.get(image, 0), scale)}",
             )
 
 
@@ -260,7 +273,8 @@ def _integral_numerator(
     check = _class_sum_numerator(system, top, numerators, signs)
     if total != check:
         raise InvariantError(
-            f"integrate: inclusion-exclusion {Fraction(total, scale)} != class sum {Fraction(check, scale)}"
+            f"integrate: inclusion-exclusion {_message_text(total, scale)} "
+            f"!= class sum {_message_text(check, scale)}"
         )
     return total
 

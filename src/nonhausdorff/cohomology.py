@@ -27,8 +27,11 @@ Both take their classes from the one class builder,
 :func:`adjunction.glued_classes`, and share one guard-and-build step; a
 failed guard builds the bicomplex, which raises where it always has.  The
 class boundaries also give :func:`quotient_complex`, the glued complex of a
-system without Hausdorff violations.  The Mayer-Vietoris report and the
-row-exactness check keep the bicomplex, whose columns and rows they read.
+system without Hausdorff violations.  The row-exactness check counts its
+rows on the closure classes too: delta is block-diagonal by class, so each
+class adds the ranks of its Cech pattern, and a failed guard builds the
+bicomplex.  The Mayer-Vietoris report keeps the bicomplex, whose columns and
+rows it reads.
 
 All of it shares one exact-rank engine, :meth:`linalg.Mat.rank` (reached
 through the clearing of :func:`linalg.complex_ranks` for a complex whose
@@ -54,6 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .adjunction import (
@@ -760,17 +764,21 @@ class RowExactnessReport:
 def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
     """Rank bookkeeping for each row 0 -> global -> column 0 -> ... -> 0 of
     the CLOSED flavor.  When the closure-intersection precondition fails the
-    result is still reported, just not asserted as a theorem."""
+    result is still reported, just not asserted as a theorem.
+
+    The dimensions and the ranks of delta come from the closure classes, one
+    Cech pattern per class (:func:`_class_rows`), from the one walk of the
+    nerve; where that route's guards fail, from the CLOSED bicomplex, which
+    raises where it always has.
+    """
     entries = nerve(system)
     checks = {entry.tup: entry.closure_ok for entry in entries}
     precondition_ok = all(checks.values())
-    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
-    columns = bicx.columns()
+    rows = _class_rows(system, entries) or _bicomplex_rows(system, entries)
+    columns = system.n()
     global_dims: dict[int, int] = {}
     nodes: dict[int, list[RowNode]] = {}
-    for q in range(bicx.max_q + 1):
-        ranks = [bicx.horizontal[(p, q)].rank() for p in range(columns - 1)]
-        dims = [bicx.dim(p, q) for p in range(columns)]
+    for q, (dims, ranks) in enumerate(rows):
         global_dims[q] = dims[0] - ranks[0] if columns > 1 else dims[0]
         row_nodes: list[RowNode] = []
         for p in range(columns):
@@ -780,6 +788,113 @@ def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
             row_nodes.append(RowNode(p, dims[p], rank_in, rank_out, exact=(kernel == rank_in)))
         nodes[q] = row_nodes
     return RowExactnessReport(checks, precondition_ok, global_dims, nodes)
+
+
+# per degree q: the dimension of each column p and the rank of delta out of it
+Rows = list[tuple[list[int], list[int]]]
+
+
+def _bicomplex_rows(system: AdjunctionSystem, entries: list[NerveTuple]) -> Rows:
+    """The rows of the CLOSED bicomplex over ``entries``, built and ranked."""
+    bicx = build_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
+    columns = bicx.columns()
+    return [
+        ([bicx.dim(p, q) for p in range(columns)], [bicx.horizontal[(p, q)].rank() for p in range(columns - 1)])
+        for q in range(bicx.max_q + 1)
+    ]
+
+
+def _class_rows(system: AdjunctionSystem, entries: list[NerveTuple]) -> Rows | None:
+    """The rows of the CLOSED bicomplex over ``entries`` without building it,
+    or None where a guard fails.
+
+    delta moves a cell only within its class under
+    :func:`closure_cell_classes` (in place, or by the closure extension
+    t0 -> t1), so it is block-diagonal by class.  Take a class with one cell
+    in each of its m pieces, all of one dimension q: the tuples whose closed
+    domain holds its cell in piece t0 are distinct subsets of its pieces, and
+    where they are closed under taking faces, its block is the Cech
+    coboundary of that simplicial complex.  Held by all 2^m - 1 - m subsets
+    of two or more pieces (counted in the walk that gives the dimensions),
+    it is the full simplex, exact past column 0, and its delta out of column
+    p has rank C(m-1, p+1); any other pattern is ranked by
+    :func:`_pattern_ranks`.  Singleton classes lie in column 0 only and add
+    no rank.  The guards: the classes build, no class holds two cells of
+    one piece or cells of two dimensions, and every pattern is closed under
+    faces (where it is not, the bicomplex raises).
+    """
+    pieces = system.pieces
+    columns = system.n()
+    top = max(piece.top_dimension for piece in pieces)
+    by_dim = Counter(q for piece in pieces for q in piece.dims.values())
+    if any(q < 0 for q in by_dim):
+        return None
+    rows: Rows = [([by_dim[q]] + [0] * (columns - 1), [0] * (columns - 1)) for q in range(top + 1)]
+    try:
+        classes = closure_cell_classes(system)
+    except PreconditionError:
+        return None
+    index = classes.index
+    # the dimensions of the columns past 0, and the tuples that hold each class
+    held: Counter[int] = Counter()
+    for entry in entries:
+        ref, p = entry.tup[0], len(entry.tup) - 1
+        dims = pieces[ref].dims
+        for cell in entry.closed.members:
+            rows[dims[cell]][0][p] += 1
+            held[index[(ref, cell)]] += 1
+    patterns: dict[int, list[tuple[int, ...]]] = {}
+    for k, count in held.items():
+        key = classes.classes[k]
+        m, q = len(key), pieces[key[0][0]].dims[key[0][1]]
+        # members come in piece order, so a repeated piece is a repeat of its predecessor
+        for t in range(1, m):
+            if key[t][0] == key[t - 1][0] or pieces[key[t][0]].dims[key[t][1]] != q:
+                return None
+        if count == (1 << m) - 1 - m:
+            ranks = rows[q][1]
+            for p in range(m - 1):
+                ranks[p] += comb(m - 1, p + 1)
+        else:
+            patterns[k] = []
+    if not patterns:
+        return rows
+    for entry in entries:
+        ref = entry.tup[0]
+        for cell in entry.closed.members:
+            tuples = patterns.get(index[(ref, cell)])
+            if tuples is not None:
+                tuples.append(entry.tup)
+    for k, tuples in patterns.items():
+        key = classes.classes[k]
+        label = {i: t for t, (i, _) in enumerate(key)}
+        pattern_ranks = _pattern_ranks(len(key), frozenset(tuple(label[i] for i in tup) for tup in tuples))
+        if pattern_ranks is None:
+            return None
+        ranks = rows[pieces[key[0][0]].dims[key[0][1]]][1]
+        for p, rank in enumerate(pattern_ranks):
+            ranks[p] += rank
+    return rows
+
+
+def _pattern_ranks(m: int, pattern: frozenset[tuple[int, ...]]) -> list[int] | None:
+    """The rank of the Cech coboundary out of each column p of the simplicial
+    complex on vertices 0..m-1 whose simplices of two or more vertices are
+    ``pattern``, or None where ``pattern`` is not closed under faces."""
+    simplices = [[(v,) for v in range(m)]]
+    for size in range(2, max(map(len, pattern)) + 1):
+        simplices.append(sorted(s for s in pattern if len(s) == size))
+    ranks: list[int] = []
+    for below, above in zip(simplices, simplices[1:]):
+        position = {s: r for r, s in enumerate(below)}
+        mat_rows = []
+        for s in above:
+            faces = [position.get(s[:alpha] + s[alpha + 1 :]) for alpha in range(len(s))]
+            if None in faces:
+                return None
+            mat_rows.append({col: (-1) ** (alpha + 1) for alpha, col in enumerate(faces)})
+        ranks.append(Mat(len(above), len(below), mat_rows).rank())
+    return ranks
 
 
 # -- Mayer-Vietoris report for binary systems ---------------------------------

@@ -1,7 +1,8 @@
 """Shared builders: fixture access, random compatible cochains, random
 clopen (Hausdorff) systems for the oracle-equivalence sweeps, and generated
 non-Hausdorff covers (hub-and-spoke paths, k-origin lines, torus pairs,
-hexagons glued on open arcs, a chain of icosahedra), and one-node mutations of JSON documents and
+hexagons glued on open arcs, a chain of icosahedra), products X × B of a
+system with a fixed complex, and one-node mutations of JSON documents and
 byte-level unreadable ones for the loading and CLI fuzz tests."""
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except NonHausdorffError as exc:
         return ("error", type(exc).__name__, str(exc))
+
+
+def row_fields(report: cohomology.RowExactnessReport) -> tuple:
+    """Every field of a row-exactness report, as plain values."""
+    nodes = {
+        q: [(node.p, node.dim, node.rank_in, node.rank_out, node.exact) for node in row]
+        for q, row in report.nodes.items()
+    }
+    return report.closure_checks, report.precondition_ok, report.global_dims, nodes
+
+
+def row_outcome(check, system: AdjunctionSystem) -> tuple:
+    """``outcome`` of a row-exactness check, the report given by its fields."""
+    result = outcome(check, system)
+    return ("ok", row_fields(result[1])) if result[0] == "ok" else result
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -387,6 +403,58 @@ def arc_hexagons(rng: random.Random) -> fixture_mod.Fixture:
             arcs[pair] = edges + [f"w{(start + t) % 6}" for t in range(1, length)]
             end = (start + length) % 6
     return glued_hexagons(3, arcs)
+
+
+# -- products X × B ----------------------------------------------------------------
+
+
+def product_complex(a: CellComplex, b: CellComplex) -> CellComplex:
+    """a × b: a cell x*y of dimension dim x + dim y for each pair of cells,
+    with boundary ∂(x × y) = ∂x × y + (-1)^(dim x) x × ∂y."""
+    cells: list[tuple[str, int]] = []
+    incidence: dict[str, dict[str, int]] = {}
+    for x, dim_x in a.dims.items():
+        sign = (-1) ** dim_x
+        for y, dim_y in b.dims.items():
+            name = f"{x}*{y}"
+            cells.append((name, dim_x + dim_y))
+            row = {f"{face}*{y}": s for face, s in a.faces_of(x).items()}
+            row.update((f"{x}*{face}", sign * s) for face, s in b.faces_of(y).items())
+            incidence[name] = row
+    return CellComplex.build(cells, incidence)
+
+
+def product_fixture(fx: fixture_mod.Fixture, b: CellComplex, b_name: str) -> fixture_mod.Fixture:
+    """X × B for a system X and a fixed complex B: pieces P_i × B, regions
+    U_ij × B, maps φ_ij × id and closure extensions likewise, cores K_T × B,
+    and, where X is oriented, the product orientation sign(x)·sign(y) on the
+    top cells, with B oriented by +1 on each top cell."""
+    system = fx.system
+    pieces = [product_complex(piece, b) for piece in system.pieces]
+    b_cells = list(b.dims)
+
+    def times(cells) -> list[str]:
+        return [f"{x}*{y}" for x in cells for y in b_cells]
+
+    def times_map(pairs) -> dict[str, str]:
+        return {f"{x}*{y}": f"{image}*{y}" for x, image in pairs.items() for y in b_cells}
+
+    regions = {pair: times(region.members) for pair, region in system.regions.items()}
+    maps = {pair: (times_map(gm.forward), times_map(gm.closure_forward)) for pair, gm in system.maps.items()}
+    orientations = None
+    if system.orientations is not None:
+        b_top = b.cells_of_dim(b.top_dimension)
+        orientations = [
+            Orientation({f"{x}*{y}": sign for x, sign in orientation.signs.items() for y in b_top})
+            for orientation in system.orientations
+        ]
+    product = AdjunctionSystem.assemble(pieces, system.names, regions, maps, orientations)
+    cores = None
+    if fx.cores is not None:
+        cores = CoreAssignment(
+            {tup: CellSet.of(pieces[tup[0]], times(core.members)) for tup, core in fx.cores.cores.items()}
+        )
+    return fixture_mod.Fixture(f"{fx.name}_x_{b_name}", product, cores)
 
 
 def counted_builds(monkeypatch) -> list[Flavor]:

@@ -36,6 +36,10 @@ them onto integer numerators over one common denominator: one ``Fraction``
 operation per cell, and the class sum over ``glued_cell_classes``
 (test_cochain_kernel.py).
 
+The row-exactness reference builds the library's CLOSED bicomplex and ranks
+every horizontal delta, as ``row_exactness_check`` did before it counted
+the Cech pattern of each closure class (test_row_exactness.py).
+
 The binary Stokes reference is the oriented frontier sum that
 ``stokes_defect`` computed for two pieces before it summed over the nerve
 (test_cochains.py).  The re-gluing reference rebuilds the glued cell classes
@@ -88,6 +92,8 @@ from nonhausdorff.cohomology import (
     FreeComplex,
     MVReport,
     MVRow,
+    RowExactnessReport,
+    RowNode,
     betti,
     build_bicomplex as library_bicomplex,
     total_betti,
@@ -568,6 +574,30 @@ def global_complex_betti(system: AdjunctionSystem) -> list[int]:
                     mat.add_to(row, col, value)
         maps.append(mat)
     return betti(FreeComplex([list(range(len(k))) for k in kernels], maps))
+
+
+def row_exactness_check(system: AdjunctionSystem) -> RowExactnessReport:
+    """The rank bookkeeping of each row of the CLOSED flavor, read off the
+    library's CLOSED bicomplex: every horizontal delta built and ranked."""
+    entries = nerve(system)
+    checks = {entry.tup: entry.closure_ok for entry in entries}
+    precondition_ok = all(checks.values())
+    bicx = library_bicomplex(system, Flavor.CLOSED_INTERSECTION, check_preconditions=False, entries=entries)
+    columns = bicx.columns()
+    global_dims: dict[int, int] = {}
+    nodes: dict[int, list[RowNode]] = {}
+    for q in range(bicx.max_q + 1):
+        ranks = [bicx.horizontal[(p, q)].rank() for p in range(columns - 1)]
+        dims = [bicx.dim(p, q) for p in range(columns)]
+        global_dims[q] = dims[0] - ranks[0] if columns > 1 else dims[0]
+        row_nodes: list[RowNode] = []
+        for p in range(columns):
+            rank_in = ranks[p - 1] if p >= 1 else global_dims[q]
+            rank_out = ranks[p] if p < columns - 1 else 0
+            kernel = dims[p] - rank_out
+            row_nodes.append(RowNode(p, dims[p], rank_in, rank_out, exact=(kernel == rank_in)))
+        nodes[q] = row_nodes
+    return RowExactnessReport(checks, precondition_ok, global_dims, nodes)
 
 
 def _cohomology_reps(dims: list[int], maps: list[Mat]) -> tuple[list[list[Vec]], list[list[Vec]]]:

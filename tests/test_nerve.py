@@ -155,7 +155,7 @@ def test_cross_checks_raise_under_optimisation():
         from nonhausdorff.cells import CellComplex
         from nonhausdorff.cochains import (
             Cochain, GlobalCochain, boundary_signs, domain_integral, integrate,
-            piece_integral, stokes_defect, zero_global,
+            piece_integral, stokes_defect,
         )
         from nonhausdorff.errors import IncompatibleCochainError, PreconditionError
         from nonhausdorff.fixtures import glued_circles, line_two_origins, path_complex
@@ -178,13 +178,14 @@ def test_cross_checks_raise_under_optimisation():
             Cochain.of(piece.whole_set(), 0, {"w1": Fraction(k + 1, 3)})
             for k, piece in enumerate(circles.pieces)
         ]
+        zero = GlobalCochain(system, 0, tuple(Cochain(p.whole_set(), 0, {}) for p in system.pieces))
         unoriented = AdjunctionSystem.assemble([path_complex()])
         whole = unoriented.pieces[0].whole_set()
         for call in (
             lambda: integrate(GlobalCochain(system, 1, tuple(parts))),
             lambda: corner_angles(MetricComplex(tri, {"x": -1.0, "y": 1.0, "z": 1.0}), "t"),
             lambda: Mat(1, 1).matmul(Mat(3, 1)),
-            lambda: subdivide_top_cochain(zero_global(system, 0), subdivide_system(system)),
+            lambda: subdivide_top_cochain(zero, subdivide_system(system)),
             lambda: piece_integral(unoriented, 0, Cochain.of(whole, 1, {})),
             lambda: domain_integral(unoriented, 0, whole, Cochain.of(whole, 1, {})),
             lambda: boundary_signs(unoriented, 0, whole),

@@ -449,6 +449,46 @@ def test_cli_huge_exponent_exits_3(capsys, tmp_path):
         assert report["diagnostics"] == ["components[C1][c0]: not a rational: '1e999999999'"]
 
 
+def test_cli_results_too_long_to_print_exit_2(capsys, tmp_path):
+    # 10**4300 has 4 301 digits, one more than str() converts; the result
+    # used to crash the CLI with a ValueError traceback and exit 1
+    system_path = str(FIXTURES_DIR / "glued_circles.json")
+    cases = [
+        ("integrate", {"degree": 1, "components": {"C1": {"c3": "1e4300"}, "C2": {}}}),
+        ("stokes-check", {"degree": 0, "components": {"C1": {"w0": "1e4300"}, "C2": {"w0": "1e4300"}}}),
+    ]
+    for command, doc in cases:
+        cochain_path = tmp_path / f"{command}.json"
+        cochain_path.write_text(json.dumps({"schema_version": "1", **doc}))
+        code, out = run_cli(capsys, "--json", command, system_path, str(cochain_path))
+        assert code == 2, command
+        report = json.loads(out)
+        assert report["status"] == "precondition_failed"
+        assert report["diagnostics"] == ["exact result too long to print: it has more than 4300 digits"]
+    # the same value one digit shorter prints
+    cochain_path.write_text(json.dumps({"schema_version": "1", "degree": 1, "components": {"C1": {"c3": "1e4299"}, "C2": {}}}))
+    code, out = run_cli(capsys, "--json", "integrate", system_path, str(cochain_path))
+    assert code == 0
+    assert json.loads(out)["payload"]["integral"] in (str(10**4299), str(-(10**4299)))
+
+
+def test_cli_incompatibility_message_of_a_long_value_exits_1(capsys, tmp_path):
+    # building the message used to raise the ValueError of str() instead
+    doc = {"schema_version": "1", "degree": 1, "components": {"C1": {"c0": "1e4300"}, "C2": {}}}
+    cochain_path = tmp_path / "long.json"
+    cochain_path.write_text(json.dumps(doc))
+    system_path = str(FIXTURES_DIR / "glued_circles.json")
+    for command in ("integrate", "stokes-check"):
+        code, out = run_cli(capsys, "--json", command, system_path, str(cochain_path))
+        assert code == 1, command
+        report = json.loads(out)
+        assert report["status"] == "validation_failed"
+        assert report["diagnostics"] == [
+            "components disagree: piece C1 cell 'c0' = (a value of more than 4300 digits) "
+            "but piece C2 cell 'c0' = 0"
+        ]
+
+
 def test_cli_mv_report_and_compare(capsys):
     path = str(FIXTURES_DIR / "line_two_origins.json")
     code, out = run_cli(capsys, "--json", "mv-report", "--flavor", "dr", path)
